@@ -1,7 +1,8 @@
-//! `kernel_bench` — fused tiled attention vs the naive reference kernel.
+//! `kernel_bench` — attention and GEMM kernels, each against its simpler
+//! path.
 //!
-//! Sweeps sequence length x heads x precision and times the forward and
-//! backward of both attention paths on identical inputs:
+//! **Attention.** Sweeps sequence length x heads x precision and times the
+//! forward and backward of both attention paths on identical inputs:
 //!
 //! * **naive** — `AttnPath::Reference`: materializes the `T x T` score
 //!   matrix per head (matmul_nt -> scale -> softmax -> matmul), which is
@@ -15,6 +16,12 @@
 //! for the backward (`MhaCache::resident_bytes`): quadratic in `T` for
 //! naive, linear for fused — the ratio must shrink as `T` grows.
 //!
+//! **GEMM.** Times the three transpose variants (`NN` = `A·B`, `NT` =
+//! `A·Bᵀ`, `TN` = `Aᵀ·B`) on the packed and the legacy path at the shapes
+//! the `train_longseq` benchmark workload runs (transformer block and
+//! front-end weight gradients), reports GFLOP/s, and checks that the two
+//! paths give bit-identical results.
+//!
 //! Writes `results/kernel_bench.json` (also under `--smoke`, which CI
 //! asserts on). Usage:
 //!
@@ -26,7 +33,8 @@ use orbit_bench::report::{print_table, write_json};
 use orbit_comm::json;
 use orbit_tensor::init::Rng;
 use orbit_tensor::kernels::attention::{mha_backward_ws, mha_forward_path, AttnPath};
-use orbit_tensor::{Precision, Workspace};
+use orbit_tensor::matmul::{gemm_on_path, GemmOp, GemmPath};
+use orbit_tensor::{Precision, Tensor, Workspace};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -88,6 +96,92 @@ fn measure(cell: &Cell, path: AttnPath, iters: usize) -> Measurement {
         resident_bytes,
         ws_peak_bytes: ws.peak_bytes(),
     }
+}
+
+/// GEMM shapes as `(k, m, n)`: `C` is `m x n` and `k` is the reduction.
+/// At 512 tokens and embed 128: a block's `Wq/Wk/Wv/Wo` (512x128x128),
+/// `W1` (512x128x512) and `W2` (512x512x128); the front-end's stacked
+/// 8-channel K/V projection (4096x128x128) and patch embedding (512x16x128).
+const GEMM_SHAPES: [(usize, usize, usize); 5] = [
+    (512, 128, 128),
+    (512, 128, 512),
+    (512, 512, 128),
+    (4096, 128, 128),
+    (512, 16, 128),
+];
+
+fn op_name(op: GemmOp) -> &'static str {
+    match op {
+        GemmOp::Nn => "NN",
+        GemmOp::Nt => "NT",
+        GemmOp::Tn => "TN",
+    }
+}
+
+/// Median seconds of `reps` timed calls after one warm-up call, and the
+/// warm-up's result.
+fn time_gemm(op: GemmOp, a: &Tensor, b: &Tensor, path: GemmPath, reps: usize) -> (f64, Tensor) {
+    let c = gemm_on_path(op, a, b, path);
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(gemm_on_path(op, black_box(a), black_box(b), path));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (times[reps / 2], c)
+}
+
+/// Packed vs legacy for every variant and shape: table rows and JSON rows.
+fn gemm_section(smoke: bool) -> (Vec<Vec<String>>, Vec<json::Value>) {
+    let reps = if smoke { 5 } else { 15 };
+    let mut rows = Vec::new();
+    let mut artifacts = Vec::new();
+    for op in [GemmOp::Nn, GemmOp::Nt, GemmOp::Tn] {
+        for &(k, m, n) in &GEMM_SHAPES {
+            let mut rng = Rng::seed(777 + (k * m + n) as u64);
+            let (a_shape, b_shape) = match op {
+                GemmOp::Nn => ((m, k), (k, n)),
+                GemmOp::Nt => ((m, k), (n, k)),
+                GemmOp::Tn => ((k, m), (k, n)),
+            };
+            let mut a = rng.normal_tensor(a_shape.0, a_shape.1, 1.0);
+            // Exact zeros (every 7th element) run the zero-skip lanes.
+            for v in a.data_mut().iter_mut().step_by(7) {
+                *v = 0.0;
+            }
+            let b = rng.normal_tensor(b_shape.0, b_shape.1, 1.0);
+            let (legacy_s, c_legacy) = time_gemm(op, &a, &b, GemmPath::Legacy, reps);
+            let (packed_s, c_packed) = time_gemm(op, &a, &b, GemmPath::Packed, reps);
+            let bit_identical = c_legacy == c_packed;
+            let gflop = 2.0 * (m * k * n) as f64 / 1e9;
+            let speedup = legacy_s / packed_s;
+            rows.push(vec![
+                op_name(op).to_string(),
+                format!("{k}x{m}x{n}"),
+                format!("{:.2}", legacy_s * 1e3),
+                format!("{:.2}", packed_s * 1e3),
+                format!("{:.1}", gflop / legacy_s),
+                format!("{:.1}", gflop / packed_s),
+                format!("{speedup:.2}x"),
+                bit_identical.to_string(),
+            ]);
+            artifacts.push(json!({
+                "op": op_name(op),
+                "k": k,
+                "m": m,
+                "n": n,
+                "legacy_ms": legacy_s * 1e3,
+                "packed_ms": packed_s * 1e3,
+                "legacy_gflop_per_s": gflop / legacy_s,
+                "packed_gflop_per_s": gflop / packed_s,
+                "speedup": speedup,
+                "bit_identical": bit_identical,
+            }));
+        }
+    }
+    (rows, artifacts)
 }
 
 fn main() {
@@ -202,6 +296,23 @@ fn main() {
         println!("\nheadline: T=1024 heads=8 f32 fused forward speedup: {s:.2}x");
     }
 
+    let (gemm_rows, gemm_artifacts) = gemm_section(smoke);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    print_table(
+        "GEMM: legacy loop vs packed path (k x m x n, C is m x n)",
+        &[
+            "op",
+            "k x m x n",
+            "legacy ms",
+            "packed ms",
+            "legacy GFLOP/s",
+            "packed GFLOP/s",
+            "speedup",
+            "bit-identical",
+        ],
+        &gemm_rows,
+    );
+
     let v = json!({
         "smoke": smoke,
         "d_head": D_HEAD,
@@ -211,6 +322,8 @@ fn main() {
                  keeps live for the backward.",
         "headline_fwd_speedup_t1024_h8_f32": headline,
         "rows": artifacts,
+        "gemm_threads": threads,
+        "gemm": gemm_artifacts,
     });
     write_json("kernel_bench", &v);
 }

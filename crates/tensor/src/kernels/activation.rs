@@ -50,21 +50,25 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(x.rows(), x.cols());
     for r in 0..x.rows() {
-        let row = x.row(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        let orow = out.row_mut(r);
-        for (o, &v) in orow.iter_mut().zip(row) {
-            let e = (v - max).exp();
-            *o = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
-            *o *= inv;
-        }
+        softmax_row(x.row(r), out.row_mut(r));
     }
     out
+}
+
+/// Softmax of one row: `out = softmax(x)`. The kernel behind
+/// [`softmax_rows`], for callers that keep rows in their own buffers.
+pub fn softmax_row(x: &[f32], out: &mut [f32]) {
+    let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (o, &v) in out.iter_mut().zip(x) {
+        let e = (v - max).exp();
+        *o = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
 }
 
 /// Backward of [`softmax_rows`] given the *forward output* `y`:
@@ -73,14 +77,17 @@ pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
     let mut dx = Tensor::zeros(y.rows(), y.cols());
     for r in 0..y.rows() {
-        let yr = y.row(r);
-        let dr = dy.row(r);
-        let dot: f32 = yr.iter().zip(dr).map(|(a, b)| a * b).sum();
-        for ((o, &yv), &dv) in dx.row_mut(r).iter_mut().zip(yr).zip(dr) {
-            *o = yv * (dv - dot);
-        }
+        softmax_row_backward(y.row(r), dy.row(r), dx.row_mut(r));
     }
     dx
+}
+
+/// Backward of [`softmax_row`] for one row, given its output `y`.
+pub fn softmax_row_backward(y: &[f32], dy: &[f32], dx: &mut [f32]) {
+    let dot: f32 = y.iter().zip(dy).map(|(a, b)| a * b).sum();
+    for ((o, &yv), &dv) in dx.iter_mut().zip(y).zip(dy) {
+        *o = yv * (dv - dot);
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@ pub mod linear;
 pub mod norm;
 pub mod optimizer;
 
-pub use activation::{gelu, gelu_backward, softmax_rows, softmax_rows_backward};
+pub use activation::{
+    gelu, gelu_backward, softmax_row, softmax_row_backward, softmax_rows, softmax_rows_backward,
+};
 pub use attention::{
     mha_backward, mha_backward_ws, mha_forward, mha_forward_path, mha_forward_ws, AttnPath,
     MhaCache, MhaGrads, QkNorm,

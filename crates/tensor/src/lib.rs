@@ -45,6 +45,6 @@ pub use dtensor::{
     ReshardError, ReshardNote,
 };
 pub use kernels::attention::AttnPath;
-pub use matmul::{matmul, matmul_nt, matmul_p, matmul_tn};
+pub use matmul::{matmul, matmul_nt, matmul_p, matmul_tn, matmul_tn_acc};
 pub use tensor::Tensor;
 pub use workspace::Workspace;

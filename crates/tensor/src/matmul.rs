@@ -6,18 +6,27 @@
 //! - a **legacy** `i-k-j` loop (output-row outer, reduction middle, output-col
 //!   inner) for small problems, where the innermost loop streams both `B`'s
 //!   row and `C`'s row — the cache-friendly order for row-major data;
-//! - a **packed** path for large problems that first copies `B` into
-//!   contiguous `KC x NC` panels (GEBP-style), then drives a 4x-unrolled
-//!   inner kernel over `MC`-row chunks of `A`/`C` distributed across the
-//!   [`crate::par`] pool.
+//! - a **packed** path for large problems, one per transpose variant:
+//!   - `C = A·B` ([`matmul_p`]) copies `B` into contiguous `KC x NC` panels
+//!     (GEBP-style), then drives a 4x-unrolled inner kernel over `MC`-row
+//!     chunks of `A`/`C` distributed across the [`crate::par`] pool;
+//!   - `C = A·Bᵀ` ([`matmul_nt`]) interleaves 4 rows of `B` lane by lane so
+//!     the inner loop runs 4 independent dot products at once;
+//!   - `C = Aᵀ·B` ([`matmul_tn`], the weight gradient `dW = Xᵀ·dY`)
+//!     transposes `A` into an `m x k` buffer with a cache-blocked copy and
+//!     then runs the `A·B` GEBP kernel on it.
 //!
 //! Determinism is sacred here: for every output element the packed path
 //! performs *exactly* the same additions in *exactly* the same (ascending
-//! `k`) order as the legacy path, including the `a == 0.0` skip, so the two
-//! paths are bit-identical and path selection can depend on shape without
-//! perturbing any engine-equivalence test. Parallel dispatch is **work-based**
-//! (`m*k*n` mul-adds) rather than row-based, so tall-skinny and short-wide
-//! shapes both dispatch sensibly.
+//! `k`) order as the legacy path, so the two paths are bit-identical and
+//! path selection can depend on shape without perturbing any
+//! engine-equivalence test. For NN that includes the `a == 0.0` skip; NT
+//! keeps one accumulator per dot product, starting at zero, as the legacy
+//! scalar dot does; TN reads `a[kk][i]` from the transposed copy at the same
+//! ascending `kk` and keeps the NN skip, which is exactly the legacy TN loop.
+//! All three variants choose their path with the same rule (`use_packed`).
+//! Parallel dispatch is **work-based** (`m*k*n` mul-adds) rather than
+//! row-based, so tall-skinny and short-wide shapes both dispatch sensibly.
 
 use crate::bf16::{round_bf16, Precision};
 use crate::par;
@@ -235,17 +244,35 @@ fn gebp_row(
     }
 }
 
-/// `C = A^T * B` where `A` is `k x m` and `B` is `k x n` (no explicit
-/// transpose materialized). This is the gradient kernel `dW = X^T dY`.
+/// `C = A^T * B` where `A` is `k x m` and `B` is `k x n`. This is the
+/// gradient kernel `dW = X^T dY`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut c = Tensor::zeros(a.cols(), b.cols());
+    matmul_tn_acc(a, b, &mut c);
+    c
+}
+
+/// `C += A^T * B` into an existing `m x n` accumulator such as a parameter
+/// gradient. Each element of `C` receives its products one at a time in
+/// ascending `k`, skipping `a == 0.0`, so accumulating a whole batch here
+/// performs the same additions, in the same order, as accumulating it one
+/// row of `A`/`B` at a time.
+pub fn matmul_tn_acc(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (k, m) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul_tn inner dim mismatch: {k} vs {k2}");
-    let ad = a.data();
-    let bd = b.data();
-    let mut c = Tensor::zeros(m, n);
-    // Each output row accumulates serially over k, parallelizing across
-    // output rows; serial-k keeps determinism (no atomic float adds).
+    assert_eq!(c.shape(), (m, n), "matmul_tn accumulator shape");
+    if use_packed(m, k, n) {
+        gemm_tn_packed(a.data(), b.data(), c.data_mut(), m, k, n);
+    } else {
+        gemm_tn_legacy(a.data(), b.data(), c.data_mut(), m, k, n);
+    }
+}
+
+/// Legacy TN loop: output row `i` reads column `i` of `A` (stride `m`) and
+/// streams all of `B`; rows go parallel when the work warrants it, and the
+/// serial `k` loop keeps the sum order fixed.
+fn gemm_tn_legacy(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
     let body = |(i, crow): (usize, &mut [f32])| {
         for kk in 0..k {
             let av = ad[kk * m + i];
@@ -259,11 +286,43 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         }
     };
     if use_parallel(m, k, n) {
-        par::for_each_chunk(c.data_mut(), n, body);
+        par::for_each_chunk(cd, n, body);
     } else {
-        c.data_mut().chunks_mut(n).enumerate().for_each(body);
+        cd.chunks_mut(n).enumerate().for_each(body);
     }
-    c
+}
+
+/// Packed TN: `Aᵀ` goes into a pooled `m x k` buffer, then the NN GEBP
+/// kernel runs on it. Row `i` of the copy is column `i` of `A`, so each
+/// output element sees the same `a` values in the same ascending-`k` order,
+/// with the same zero skip, as [`gemm_tn_legacy`].
+fn gemm_tn_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
+    let ws = Workspace::global();
+    let mut at = ws.take(m * k);
+    transpose_into(ad, k, m, &mut at);
+    gemm_nn_packed(&at, bd, cd, m, k, n, Precision::F32);
+    ws.put(at);
+}
+
+/// Square tile edge of [`transpose_into`]: a 32x32 f32 tile is 4 KiB.
+const TRANSPOSE_TILE: usize = 32;
+
+/// `dst = srcᵀ` for a row-major `rows x cols` source, one 32x32 tile at a
+/// time. Each tile writes 32-element runs of `dst` rows and reads a short
+/// strip of `src` rows, so neither side walks memory at a large power-of-two
+/// stride. Bands of `dst` rows go to the pool.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    par::for_each_chunk(dst, TRANSPOSE_TILE * rows, |(band, dband)| {
+        let c0 = band * TRANSPOSE_TILE;
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for (c, drow) in dband.chunks_mut(rows).enumerate() {
+                for (o, r) in drow[r0..r1].iter_mut().zip(r0..r1) {
+                    *o = src[r * cols + c0 + c];
+                }
+            }
+        }
+    });
 }
 
 /// `C = A * B^T` where `A` is `m x k` and `B` is `n x k`. This is the
@@ -377,6 +436,49 @@ fn gemm_nt_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n:
     ws.put(packed);
 }
 
+/// A GEMM transpose variant, for [`gemm_on_path`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmOp {
+    /// `C = A·B`, as [`matmul`].
+    Nn,
+    /// `C = A·Bᵀ`, as [`matmul_nt`].
+    Nt,
+    /// `C = Aᵀ·B`, as [`matmul_tn`].
+    Tn,
+}
+
+/// Which body a GEMM runs. The entry points pick one by shape; forcing it
+/// lets `kernel_bench` time the two against each other and check that
+/// their bits agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmPath {
+    Legacy,
+    Packed,
+}
+
+/// Run one f32 GEMM variant on a forced path. Every shape gives the same
+/// bits on either path, and the same bits as the variant's entry point.
+pub fn gemm_on_path(op: GemmOp, a: &Tensor, b: &Tensor, path: GemmPath) -> Tensor {
+    let packed = path == GemmPath::Packed;
+    let (m, k, k2, n) = match op {
+        GemmOp::Nn => (a.rows(), a.cols(), b.rows(), b.cols()),
+        GemmOp::Nt => (a.rows(), a.cols(), b.cols(), b.rows()),
+        GemmOp::Tn => (a.cols(), a.rows(), b.rows(), b.cols()),
+    };
+    assert_eq!(k, k2, "{op:?} inner dim mismatch: {k} vs {k2}");
+    let mut c = Tensor::zeros(m, n);
+    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
+    match (op, packed) {
+        (GemmOp::Nn, true) => gemm_nn_packed(ad, bd, cd, m, k, n, Precision::F32),
+        (GemmOp::Nn, false) => gemm_nn_legacy(ad, bd, cd, m, k, n, Precision::F32),
+        (GemmOp::Nt, true) => gemm_nt_packed(ad, bd, cd, m, k, n),
+        (GemmOp::Nt, false) => gemm_nt_legacy(ad, bd, cd, m, k, n),
+        (GemmOp::Tn, true) => gemm_tn_packed(ad, bd, cd, m, k, n),
+        (GemmOp::Tn, false) => gemm_tn_legacy(ad, bd, cd, m, k, n),
+    }
+    c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,20 +526,37 @@ mod tests {
         }
     }
 
+    /// `rows x cols` normal tensor with every 7th element an exact zero,
+    /// so the zero-skip lanes run.
+    fn sparse_normal(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
+        let mut a = rng.normal_tensor(rows, cols, 1.0);
+        for v in a.data_mut().iter_mut().step_by(7) {
+            *v = 0.0;
+        }
+        a
+    }
+
     #[test]
     fn packed_path_is_bit_identical_to_legacy() {
         // The engine bit-identity suites rely on path selection never
         // changing numerics: packed and legacy must agree to the bit,
-        // including the a == 0.0 skip semantics.
+        // including the a == 0.0 skip semantics. k = 130 and 301 are
+        // multiples of neither 4 nor KC; n = 257 and 300 are not multiples
+        // of NC; m = 9 is just above PACK_MIN_ROWS; the last two shapes sit
+        // either side of PACK_MIN_WORK, so the entry points take the legacy
+        // path on one and the packed path on the other.
         let mut rng = Rng::seed(19);
-        for &(m, k, n) in &[(16usize, 130usize, 257usize), (64, 96, 300), (9, 500, 40)] {
-            let mut a = rng.normal_tensor(m, k, 1.0);
-            // Sprinkle exact zeros to exercise the skip lanes.
-            for (idx, v) in a.data_mut().iter_mut().enumerate() {
-                if idx % 7 == 0 {
-                    *v = 0.0;
-                }
-            }
+        let shapes = [
+            (16usize, 130usize, 257usize),
+            (64, 96, 300),
+            (9, 301, 40),
+            (128, 512, 128),
+            (16, 64, 127),
+            (16, 64, 128),
+        ];
+        assert!(!use_packed(16, 64, 127) && use_packed(16, 64, 128));
+        for &(m, k, n) in &shapes {
+            let a = sparse_normal(&mut rng, m, k);
             let b = rng.normal_tensor(k, n, 1.0);
             for prec in [Precision::F32, Precision::BF16Mixed] {
                 let mut c_packed = Tensor::zeros(m, n);
@@ -446,12 +565,33 @@ mod tests {
                 gemm_nn_legacy(a.data(), b.data(), c_legacy.data_mut(), m, k, n, prec);
                 assert_eq!(c_packed, c_legacy, "{m}x{k}x{n} {prec:?}");
             }
-            let mut c_packed = Tensor::zeros(m, n);
-            let mut c_legacy = Tensor::zeros(m, n);
             let bt = rng.normal_tensor(n, k, 1.0);
-            gemm_nt_packed(a.data(), bt.data(), c_packed.data_mut(), m, k, n);
-            gemm_nt_legacy(a.data(), bt.data(), c_legacy.data_mut(), m, k, n);
-            assert_eq!(c_packed, c_legacy, "nt {m}x{k}x{n}");
+            assert_eq!(
+                gemm_on_path(GemmOp::Nt, &a, &bt, GemmPath::Packed),
+                gemm_on_path(GemmOp::Nt, &a, &bt, GemmPath::Legacy),
+                "nt {m}x{k}x{n}"
+            );
+
+            let at = sparse_normal(&mut rng, k, m);
+            let legacy = gemm_on_path(GemmOp::Tn, &at, &b, GemmPath::Legacy);
+            assert_eq!(
+                gemm_on_path(GemmOp::Tn, &at, &b, GemmPath::Packed),
+                legacy,
+                "tn {m}x{k}x{n}"
+            );
+            assert_eq!(matmul_tn(&at, &b), legacy, "matmul_tn {m}x{k}x{n}");
+            // Accumulating into a nonzero C matches accumulating one row of
+            // A/B at a time, the way per-sample gradients used to arrive.
+            let c0 = rng.normal_tensor(m, n, 1.0);
+            let mut whole = c0.clone();
+            matmul_tn_acc(&at, &b, &mut whole);
+            let mut by_row = c0;
+            for kk in 0..k {
+                let ar = at.slice_rows(kk, kk + 1);
+                let br = b.slice_rows(kk, kk + 1);
+                gemm_tn_legacy(ar.data(), br.data(), by_row.data_mut(), m, 1, n);
+            }
+            assert_eq!(whole, by_row, "tn accumulate {m}x{k}x{n}");
         }
     }
 

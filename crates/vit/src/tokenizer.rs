@@ -9,9 +9,10 @@
 use crate::block::Param;
 use crate::config::VitConfig;
 use orbit_tensor::init::Rng;
-use orbit_tensor::kernels::attention::{mha_backward, mha_forward, MhaCache};
-use orbit_tensor::kernels::{linear, linear_backward, unfold_patches};
-use orbit_tensor::{Precision, Tensor};
+use orbit_tensor::kernels::{
+    linear, linear_backward, softmax_row, softmax_row_backward, unfold_patches,
+};
+use orbit_tensor::{matmul_nt, matmul_tn_acc, Precision, Tensor};
 
 /// Per-variable patch embedding.
 #[derive(Debug, Clone)]
@@ -93,6 +94,15 @@ impl VariableTokenizer {
 
 /// Cross-attention channel aggregation: a learnable query pools the C
 /// channel embeddings at each spatial token.
+///
+/// Every token's attention is one query over `C` keys, so the whole
+/// sequence runs as plain loops over `tokens x heads` plus one `Wo` GEMM
+/// each way. The loops do, per token, exactly the arithmetic of the
+/// reference attention path (`mha_forward`/`mha_backward` with one query
+/// row): every accumulator starts at `0.0` and adds in ascending index
+/// order, with the matmul kernels' `a == 0.0` skips, the scale applied
+/// after the dot product, and the softmax row kernels themselves. Results
+/// are bit-identical to running that path token by token.
 #[derive(Debug, Clone)]
 pub struct VariableAggregation {
     /// Learnable query, `1 x d`.
@@ -105,20 +115,20 @@ pub struct VariableAggregation {
     pub precision: Precision,
 }
 
-/// Cache for the aggregation backward: per-token projected tensors and
-/// attention caches.
+/// Cache for the aggregation backward.
 pub struct AggregationCache {
     /// Stacked channel embeddings, `(C * tokens) x d`, channel-major.
     stacked: Tensor,
-    /// Projected keys/values for the full stack.
+    /// Projected keys/values for the full stack, same layout.
     k: Tensor,
     v: Tensor,
-    /// Projected query (shared across tokens).
+    /// Projected query (shared across tokens), `1 x d`.
     q: Tensor,
-    /// Per-token attention caches.
-    mha: Vec<MhaCache>,
-    /// Per-token attention outputs (inputs to Wo).
-    attn_out: Vec<Tensor>,
+    /// Attention probabilities, `tokens x (heads * C)`: head `h` of token
+    /// `t` is row `t`, columns `h * C .. (h + 1) * C`.
+    probs: Tensor,
+    /// Attention output, the input to `Wo`, `tokens x d`.
+    attn: Tensor,
     channels: usize,
     tokens: usize,
 }
@@ -142,29 +152,57 @@ impl VariableAggregation {
     /// one `tokens x d` embedding.
     pub fn forward(&self, embeddings: &[Tensor]) -> (Tensor, AggregationCache) {
         let channels = embeddings.len();
-        let tokens = embeddings[0].rows();
-        let d = embeddings[0].cols();
+        assert!(channels > 0, "aggregation needs at least one channel");
+        let (tokens, d) = embeddings[0].shape();
+        for (c, e) in embeddings.iter().enumerate() {
+            assert_eq!(
+                e.shape(),
+                (tokens, d),
+                "aggregation: channel {c} embedding must be {tokens}x{d}"
+            );
+        }
+        let heads = self.heads;
+        assert!(
+            heads > 0 && d % heads == 0,
+            "aggregation: heads ({heads}) must divide the embedding width ({d})"
+        );
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+
         let stacked = Tensor::concat_rows(&embeddings.iter().collect::<Vec<_>>());
         let k = linear(&stacked, &self.wk.value, None, self.precision);
         let v = linear(&stacked, &self.wv.value, None, self.precision);
         let q = linear(&self.query.value, &self.wq.value, None, self.precision);
-        let mut out = Tensor::zeros(tokens, d);
-        let mut mha_caches = Vec::with_capacity(tokens);
-        let mut attn_outs = Vec::with_capacity(tokens);
+        let mut probs = Tensor::zeros(tokens, heads * channels);
+        let mut attn = Tensor::zeros(tokens, d);
+        let mut scores = vec![0.0f32; channels];
         for t in 0..tokens {
-            // Gather the C rows for token t (channel-major stacking).
-            let mut kt = Tensor::zeros(channels, d);
-            let mut vt = Tensor::zeros(channels, d);
-            for c in 0..channels {
-                kt.row_mut(c).copy_from_slice(k.row(c * tokens + t));
-                vt.row_mut(c).copy_from_slice(v.row(c * tokens + t));
+            for h in 0..heads {
+                let cols = h * dh..(h + 1) * dh;
+                let qh = &q.row(0)[cols.clone()];
+                for (c, s) in scores.iter_mut().enumerate() {
+                    let kh = &k.row(c * tokens + t)[cols.clone()];
+                    let mut acc = 0.0f32;
+                    for (&a, &b) in qh.iter().zip(kh) {
+                        acc += a * b;
+                    }
+                    *s = acc * scale;
+                }
+                let p = &mut probs.row_mut(t)[h * channels..(h + 1) * channels];
+                softmax_row(&scores, p);
+                let out = &mut attn.row_mut(t)[cols.clone()];
+                for (c, &pc) in p.iter().enumerate() {
+                    if pc == 0.0 {
+                        continue;
+                    }
+                    let vh = &v.row(c * tokens + t)[cols.clone()];
+                    for (o, &vv) in out.iter_mut().zip(vh) {
+                        *o += pc * vv;
+                    }
+                }
             }
-            let (a, cache) = mha_forward(&q, &kt, &vt, self.heads, None);
-            let o = linear(&a, &self.wo.value, None, self.precision);
-            out.row_mut(t).copy_from_slice(o.row(0));
-            mha_caches.push(cache);
-            attn_outs.push(a);
         }
+        let out = linear(&attn, &self.wo.value, None, self.precision);
         (
             out,
             AggregationCache {
@@ -172,8 +210,8 @@ impl VariableAggregation {
                 k,
                 v,
                 q,
-                mha: mha_caches,
-                attn_out: attn_outs,
+                probs,
+                attn,
                 channels,
                 tokens,
             },
@@ -182,24 +220,75 @@ impl VariableAggregation {
 
     /// Backward: returns gradients for the per-channel embeddings.
     pub fn backward(&mut self, cache: &AggregationCache, dy: &Tensor) -> Vec<Tensor> {
-        let (channels, tokens) = (cache.channels, cache.tokens);
-        let d = dy.cols();
+        let (channels, tokens, heads) = (cache.channels, cache.tokens, self.heads);
+        let d = cache.attn.cols();
+        assert_eq!(dy.shape(), (tokens, d), "aggregation backward: dy shape");
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+
+        // `Wo` for the whole sequence. `dWo` lands in `wo.grad` token by
+        // token in ascending order, as per-token accumulation did. That path
+        // added `0.0 + a·dy` where this adds `a·dy` (or skips `a == 0.0`);
+        // the two differ only on a gradient holding -0.0, which a gradient
+        // accumulated from +0.0 never does.
+        let d_attn = matmul_nt(dy, &self.wo.value);
+        matmul_tn_acc(&cache.attn, dy, &mut self.wo.grad);
+
         let mut dk_full = Tensor::zeros(channels * tokens, d);
         let mut dv_full = Tensor::zeros(channels * tokens, d);
         let mut dq_total = Tensor::zeros(1, d);
+        // Per-token scratch, reused: token t's query gradient is summed
+        // whole before it joins `dq_total`, which keeps the token order.
+        let mut dq_t = vec![0.0f32; d];
+        let mut d_probs = vec![0.0f32; channels];
+        let mut d_scores = vec![0.0f32; channels];
+        let q = cache.q.row(0);
         for t in 0..tokens {
-            let dy_t = dy.slice_rows(t, t + 1);
-            let go = linear_backward(&cache.attn_out[t], &self.wo.value, &dy_t, false);
-            self.wo.accumulate(&go.dw);
-            let mg = mha_backward(&cache.mha[t], None, &go.dx);
-            dq_total.add_assign(&mg.dq);
-            for c in 0..channels {
-                dk_full
-                    .row_mut(c * tokens + t)
-                    .copy_from_slice(mg.dk.row(c));
-                dv_full
-                    .row_mut(c * tokens + t)
-                    .copy_from_slice(mg.dv.row(c));
+            dq_t.fill(0.0);
+            for h in 0..heads {
+                let cols = h * dh..(h + 1) * dh;
+                let d_oh = &d_attn.row(t)[cols.clone()];
+                let p = &cache.probs.row(t)[h * channels..(h + 1) * channels];
+                // out = probs · v
+                for (c, (dp, &pc)) in d_probs.iter_mut().zip(p).enumerate() {
+                    let row = c * tokens + t;
+                    let vh = &cache.v.row(row)[cols.clone()];
+                    let mut acc = 0.0f32;
+                    for (&a, &b) in d_oh.iter().zip(vh) {
+                        acc += a * b;
+                    }
+                    *dp = acc;
+                    if pc != 0.0 {
+                        let dv = &mut dv_full.row_mut(row)[cols.clone()];
+                        for (o, &g) in dv.iter_mut().zip(d_oh) {
+                            *o += pc * g;
+                        }
+                    }
+                }
+                // probs = softmax(scale · q kᵀ)
+                softmax_row_backward(p, &d_probs, &mut d_scores);
+                for s in d_scores.iter_mut() {
+                    *s *= scale;
+                }
+                let dq_h = &mut dq_t[cols.clone()];
+                let qh = &q[cols.clone()];
+                for (c, &ds) in d_scores.iter().enumerate() {
+                    if ds == 0.0 {
+                        continue;
+                    }
+                    let row = c * tokens + t;
+                    let kh = &cache.k.row(row)[cols.clone()];
+                    for (o, &kv) in dq_h.iter_mut().zip(kh) {
+                        *o += ds * kv;
+                    }
+                    let dk = &mut dk_full.row_mut(row)[cols.clone()];
+                    for (o, &qv) in dk.iter_mut().zip(qh) {
+                        *o += ds * qv;
+                    }
+                }
+            }
+            for (acc, &g) in dq_total.row_mut(0).iter_mut().zip(&dq_t) {
+                *acc += g;
             }
         }
         let gq = linear_backward(&self.query.value, &self.wq.value, &dq_total, false);
@@ -224,18 +313,12 @@ impl VariableAggregation {
         v("agg.wv", &mut self.wv);
         v("agg.wo", &mut self.wo);
     }
-
-    /// Silence dead-code analysis for cached tensors used only in tests.
-    #[doc(hidden)]
-    pub fn _cache_probe(cache: &AggregationCache) -> (usize, usize) {
-        let _ = (&cache.k, &cache.v, &cache.q);
-        (cache.channels, cache.tokens)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orbit_tensor::kernels::attention::{mha_backward, mha_forward};
     use orbit_tensor::kernels::fd::{assert_grad_close, numerical_grad};
 
     fn cfg() -> VitConfig {
@@ -356,5 +439,151 @@ mod tests {
             y1.allclose(&y2, 1e-4, 1e-5),
             "channel pooling is order-invariant"
         );
+    }
+
+    /// The per-token aggregation, built from the public attention and
+    /// linear kernels: each token runs its own one-query `mha_forward`, its
+    /// own 1-row `Wo` and, backward, its own `mha_backward` and `dWo`.
+    /// Runs one forward and backward, accumulating into `agg`'s grads, and
+    /// returns the output and the per-channel embedding grads.
+    fn per_token_oracle(
+        agg: &mut VariableAggregation,
+        embs: &[Tensor],
+        dy: &Tensor,
+    ) -> (Tensor, Vec<Tensor>) {
+        let channels = embs.len();
+        let (tokens, d) = embs[0].shape();
+        let stacked = Tensor::concat_rows(&embs.iter().collect::<Vec<_>>());
+        let k = linear(&stacked, &agg.wk.value, None, agg.precision);
+        let v = linear(&stacked, &agg.wv.value, None, agg.precision);
+        let q = linear(&agg.query.value, &agg.wq.value, None, agg.precision);
+        let mut out = Tensor::zeros(tokens, d);
+        let mut dk_full = Tensor::zeros(channels * tokens, d);
+        let mut dv_full = Tensor::zeros(channels * tokens, d);
+        let mut dq_total = Tensor::zeros(1, d);
+        for t in 0..tokens {
+            let mut kt = Tensor::zeros(channels, d);
+            let mut vt = Tensor::zeros(channels, d);
+            for c in 0..channels {
+                kt.row_mut(c).copy_from_slice(k.row(c * tokens + t));
+                vt.row_mut(c).copy_from_slice(v.row(c * tokens + t));
+            }
+            let (a, mha) = mha_forward(&q, &kt, &vt, agg.heads, None);
+            let o = linear(&a, &agg.wo.value, None, agg.precision);
+            out.row_mut(t).copy_from_slice(o.row(0));
+
+            let go = linear_backward(&a, &agg.wo.value, &dy.slice_rows(t, t + 1), false);
+            agg.wo.accumulate(&go.dw);
+            let mg = mha_backward(&mha, None, &go.dx);
+            dq_total.add_assign(&mg.dq);
+            for c in 0..channels {
+                dk_full
+                    .row_mut(c * tokens + t)
+                    .copy_from_slice(mg.dk.row(c));
+                dv_full
+                    .row_mut(c * tokens + t)
+                    .copy_from_slice(mg.dv.row(c));
+            }
+        }
+        let gq = linear_backward(&agg.query.value, &agg.wq.value, &dq_total, false);
+        agg.wq.accumulate(&gq.dw);
+        agg.query.accumulate(&gq.dx);
+        let gk = linear_backward(&stacked, &agg.wk.value, &dk_full, false);
+        agg.wk.accumulate(&gk.dw);
+        let gv = linear_backward(&stacked, &agg.wv.value, &dv_full, false);
+        agg.wv.accumulate(&gv.dw);
+        let mut d_stacked = gk.dx;
+        d_stacked.add_assign(&gv.dx);
+        let d_embs = (0..channels)
+            .map(|c| d_stacked.slice_rows(c * tokens, (c + 1) * tokens))
+            .collect();
+        (out, d_embs)
+    }
+
+    /// Three samples through the whole-sequence aggregation and through the
+    /// per-token oracle, accumulating into the same parameters: outputs,
+    /// embedding grads and all five parameter grads must agree to the bit.
+    fn assert_matches_per_token_oracle(mut c: VitConfig, prec: Precision) {
+        c.precision = prec;
+        // Wide init so the softmax over channels is far from uniform.
+        c.init_std = 0.5;
+        let mut rng = Rng::seed(16);
+        let mut fast = VariableAggregation::init(&c, &mut rng);
+        let mut slow = fast.clone();
+        for sample in 0..3 {
+            let embs: Vec<Tensor> = (0..c.dims.channels)
+                .map(|_| rng.normal_tensor(c.tokens(), c.dims.embed, 1.0))
+                .collect();
+            let dy = rng.normal_tensor(c.tokens(), c.dims.embed, 1.0);
+            let (y, cache) = fast.forward(&embs);
+            let d_embs = fast.backward(&cache, &dy);
+            let (y_ref, d_ref) = per_token_oracle(&mut slow, &embs, &dy);
+            assert_eq!(y, y_ref, "output, sample {sample} {prec:?}");
+            for (ch, (a, b)) in d_embs.iter().zip(&d_ref).enumerate() {
+                assert_eq!(a, b, "d_embs[{ch}], sample {sample} {prec:?}");
+            }
+        }
+        let mut grads = Vec::new();
+        fast.visit_params(&mut |name, p| grads.push((name.to_string(), p.grad.clone())));
+        let mut i = 0;
+        slow.visit_params(&mut |name, p| {
+            assert_eq!(grads[i].0, name);
+            assert_eq!(grads[i].1, p.grad, "{name} grad {prec:?}");
+            i += 1;
+        });
+        assert_eq!(i, 5);
+    }
+
+    #[test]
+    fn aggregation_is_bit_identical_to_per_token_oracle_tiny() {
+        for prec in [Precision::F32, Precision::BF16Mixed] {
+            assert_matches_per_token_oracle(cfg(), prec);
+        }
+    }
+
+    #[test]
+    fn aggregation_is_bit_identical_to_per_token_oracle_longseq() {
+        // The `train_longseq` front-end: 8 channels of a 64x128 grid at
+        // patch 4 (512 tokens), embed 128, 2 heads.
+        let c = VitConfig::new(orbit_frontier::ModelDims {
+            embed: 128,
+            layers: 2,
+            heads: 2,
+            channels: 8,
+            patch: 4,
+            img_h: 64,
+            img_w: 128,
+            out_channels: 8,
+        });
+        assert_eq!(c.tokens(), 512);
+        for prec in [Precision::F32, Precision::BF16Mixed] {
+            assert_matches_per_token_oracle(c, prec);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 1 embedding must be")]
+    fn aggregation_rejects_mismatched_channel_shape() {
+        let c = cfg();
+        let mut rng = Rng::seed(17);
+        let agg = VariableAggregation::init(&c, &mut rng);
+        let mut embs: Vec<Tensor> = (0..c.dims.channels)
+            .map(|_| rng.normal_tensor(c.tokens(), c.dims.embed, 1.0))
+            .collect();
+        embs[1] = rng.normal_tensor(c.tokens() - 1, c.dims.embed, 1.0);
+        let _ = agg.forward(&embs);
+    }
+
+    #[test]
+    #[should_panic(expected = "must divide the embedding width")]
+    fn aggregation_rejects_heads_not_dividing_width() {
+        let c = cfg();
+        let mut rng = Rng::seed(18);
+        let mut agg = VariableAggregation::init(&c, &mut rng);
+        agg.heads = 3;
+        let embs: Vec<Tensor> = (0..c.dims.channels)
+            .map(|_| rng.normal_tensor(c.tokens(), c.dims.embed, 1.0))
+            .collect();
+        let _ = agg.forward(&embs);
     }
 }

@@ -153,6 +153,44 @@ fn matmul_variants_consistent() {
     });
 }
 
+/// `matmul_tn` is bit-identical to the plain `A^T B` loop on random shapes
+/// on both sides of the packed-path threshold, with exact zeros in `A`.
+#[test]
+fn matmul_tn_bit_identical_to_loop() {
+    check("matmul_tn_bit_identical_to_loop", 16, |rng| {
+        // Each case draws, at random, a shape that takes the legacy loop
+        // (< 2^17 mul-adds) or one that takes the packed path.
+        let (k, m, n) = if rng.index(2) == 0 {
+            (range(rng, 1, 64), range(rng, 1, 32), range(rng, 1, 64))
+        } else {
+            (
+                range(rng, 100, 300),
+                range(rng, 16, 80),
+                range(rng, 100, 300),
+            )
+        };
+        let mut a = tensor(rng, k, m);
+        for v in a.data_mut().iter_mut().step_by(7) {
+            *v = 0.0;
+        }
+        let b = tensor(rng, k, n);
+        let mut want = Tensor::zeros(m, n);
+        for i in 0..m {
+            let crow = want.row_mut(i);
+            for kk in 0..k {
+                let av = a.get(kk, i);
+                if av == 0.0 {
+                    continue;
+                }
+                for (cv, &bv) in crow.iter_mut().zip(b.row(kk)) {
+                    *cv += av * bv;
+                }
+            }
+        }
+        assert_eq!(matmul_tn(&a, &b), want, "{k}x{m}x{n}");
+    });
+}
+
 /// Run both attention paths on identical inputs and return
 /// `((y_ref, grads_ref), (y_fused, grads_fused))`.
 #[allow(clippy::type_complexity)]
