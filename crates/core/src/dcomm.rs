@@ -4,7 +4,8 @@
 //! and lowers reshard collectives onto the real nonblocking data plane
 //! (`all_gather_start` / `reduce_scatter_start` / `all_reduce_start`),
 //! so every reshard records through the schedule verifier exactly like a
-//! hand-issued collective.
+//! hand-issued collective. An [`AxisComm`] does the same for a mesh axis
+//! that may span one rank, where there is no group to lower onto.
 //!
 //! (`orbit-comm` depends on `orbit-tensor`, so the trait lives tensor-side
 //! and this adapter core-side — the dependency arrow cannot point the
@@ -63,6 +64,97 @@ impl Collectives for GroupComm<'_> {
     }
 }
 
+/// The communicator of one mesh axis that may span a single rank. A
+/// multi-rank axis lowers onto its process group exactly like
+/// [`GroupComm`]; a one-rank axis has no group at all, so its collectives
+/// are the identity and complete at issue. That matters beyond speed: a
+/// size-1 `ProcessGroup` still logs every op and, on a bf16 wire, rounds
+/// the payload — a one-rank engine routed through one would not train
+/// like the single-device reference.
+pub struct AxisComm<'a> {
+    group: Option<&'a mut ProcessGroup>,
+    clock: &'a mut SimClock,
+}
+
+/// An [`AxisComm`] operation in flight: a real collective, or a one-rank
+/// result that was complete at issue.
+pub enum AxisPending {
+    Group(PendingCollective),
+    Local(Vec<f32>),
+}
+
+impl<'a> AxisComm<'a> {
+    pub fn new(group: Option<&'a mut ProcessGroup>, clock: &'a mut SimClock) -> Self {
+        AxisComm { group, clock }
+    }
+
+    /// Sum one scalar across the axis (the loss average).
+    pub fn all_reduce_scalar(&mut self, v: f32) -> Result<f32, CommError> {
+        match &mut self.group {
+            Some(g) => g.all_reduce_scalar(self.clock, v),
+            None => Ok(v),
+        }
+    }
+
+    /// Block until every rank of the axis arrives.
+    pub fn barrier(&mut self) -> Result<(), CommError> {
+        match &mut self.group {
+            Some(g) => g.barrier(self.clock),
+            None => Ok(()),
+        }
+    }
+
+    /// Issue through the group, or complete at once with `local`.
+    fn issue(
+        &mut self,
+        local: &[f32],
+        start: impl FnOnce(&mut GroupComm<'_>) -> Result<PendingCollective, CommError>,
+    ) -> Result<AxisPending, CommError> {
+        match &mut self.group {
+            Some(g) => start(&mut GroupComm::new(g, self.clock)).map(AxisPending::Group),
+            None => Ok(AxisPending::Local(local.to_vec())),
+        }
+    }
+}
+
+impl Collectives for AxisComm<'_> {
+    type Error = CommError;
+    type Pending = AxisPending;
+
+    fn size(&self) -> usize {
+        self.group.as_ref().map_or(1, |g| g.size())
+    }
+
+    fn all_gather_start(
+        &mut self,
+        shard: &[f32],
+        prefetch: bool,
+    ) -> Result<AxisPending, CommError> {
+        self.issue(shard, |c| c.all_gather_start(shard, prefetch))
+    }
+
+    fn reduce_scatter_start(&mut self, full: &[f32]) -> Result<AxisPending, CommError> {
+        self.issue(full, |c| c.reduce_scatter_start(full))
+    }
+
+    fn all_reduce_start(&mut self, buf: &[f32]) -> Result<AxisPending, CommError> {
+        self.issue(buf, |c| c.all_reduce_start(buf))
+    }
+
+    fn wait(&mut self, pending: AxisPending) -> Result<Vec<f32>, CommError> {
+        match pending {
+            AxisPending::Group(p) => Ok(p.wait(self.clock)?.to_vec()),
+            AxisPending::Local(v) => Ok(v),
+        }
+    }
+
+    fn annotate_reshard(&mut self, note: &ReshardNote) {
+        if let Some(g) = &mut self.group {
+            g.annotate_reshard(note.clone());
+        }
+    }
+}
+
 /// Collapse a reshard error at an engine call site whose layout transition
 /// is statically legal: a `Layout` arm there is a choreography bug (the
 /// moral equivalent of the asserts the hand-rolled shard math used), so it
@@ -99,6 +191,23 @@ mod tests {
         for r in &results {
             assert_eq!(r, &global);
         }
+    }
+
+    #[test]
+    fn one_rank_axis_comm_is_the_identity_and_logs_nothing() {
+        let mut clock = SimClock::new();
+        let mesh = DeviceMesh::one("x", 1, 0);
+        let addend = Tensor::from_vec(1, 5, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        for to in [Layout::Replicate, Layout::ShardFlat] {
+            let p = DTensor::partial(addend.clone(), mesh.clone(), "x").unwrap();
+            let mut comm = AxisComm::new(None, &mut clock);
+            let out = p.reshard("x", to, &mut comm).unwrap();
+            assert_eq!(out.local(), &addend, "{to:?}");
+            assert_eq!(comm.all_reduce_scalar(7.5).unwrap(), 7.5);
+            comm.barrier().unwrap();
+        }
+        assert!(clock.events().is_empty(), "no collective was recorded");
+        assert_eq!(clock.now(), 0.0);
     }
 
     #[test]

@@ -543,17 +543,7 @@ impl Engine for HybridStopEngine {
             self.trainer
                 .unscale_synced(&mut ctx.clock, &mut self.world_group, &mut shard_refs)?
         };
-        let grad_norm = {
-            let n = norm(&unit_grad_shards.concat());
-            if let Some(s) = self.trainer.clip_scale(n) {
-                for shard in unit_grad_shards.iter_mut() {
-                    for g in shard.iter_mut() {
-                        *g *= s;
-                    }
-                }
-            }
-            n
-        };
+        let grad_norm = norm(&unit_grad_shards.concat());
 
         // ---- Sharded optimizer step: each rank updates only its shards.
         if applied {
@@ -603,11 +593,8 @@ impl Engine for HybridStopEngine {
     /// (bit-exact); restoring into a different layout only re-slices the
     /// same values.
     fn restore_checkpoint(&mut self, _ctx: &mut RankCtx, ck: &Checkpoint) -> Result<(), SimError> {
-        if !ck.matches_config(&self.front.cfg) {
-            return Err(SimError::State(
-                "checkpoint fingerprint does not match model config".into(),
-            ));
-        }
+        ck.validate(&self.front.cfg)
+            .map_err(|e| SimError::State(e.to_string()))?;
         let cfg = self.front.cfg;
         let tp = self.layout.tp;
         let tp_idx = self.tp_group.local_index();
@@ -622,11 +609,6 @@ impl Engine for HybridStopEngine {
         };
         let fsdp_mesh = self.mesh.sub(&["fsdp"]).expect("fsdp axis");
         for (unit, full) in reshard_units(&ck.params).into_iter().enumerate() {
-            if full.len() != self.unit_lens[unit] {
-                return Err(SimError::State(format!(
-                    "unit {unit} shard length mismatch on restore"
-                )));
-            }
             let n = full.len();
             self.unit_params[unit] = DTensor::from_global(
                 &Tensor::from_vec(1, n, full),

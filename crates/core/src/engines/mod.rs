@@ -3,18 +3,22 @@
 //! Every engine implements the object-safe [`Engine`] trait — one
 //! [`Engine::train_step`] over the global batch — and delegates the shared
 //! scaffold (batch partitioning, the microbatch forward/backward loop,
-//! mixed-precision loss scaling, gradient clipping, simulated compute
-//! charging, stats assembly) to a [`Trainer`]. Each engine file keeps only
-//! its distinct shard layout and collective choreography:
+//! mixed-precision loss scaling, simulated compute charging, stats
+//! assembly) to a [`Trainer`]. Each engine file keeps only its distinct
+//! shard layout and collective choreography:
 //!
-//! | engine ([`Engine::name`]) | parameters | gradients | data |
-//! |---|---|---|---|
-//! | [`SingleDeviceEngine`] (`single_device`) | local | local | whole batch |
-//! | [`DdpEngine`] (`ddp`) | replicated | **one all-reduce per step** | partitioned |
-//! | [`FsdpEngine`] (`fsdp`, vanilla) | flat-sharded 1/N, **full-model gather** per step | reduce-scatter | partitioned |
-//! | [`TensorParallelEngine`] (`tensor_parallel`) | column/row shards, never gathered | local to shard | replicated |
-//! | [`PipelineEngine`] (`pipeline`) | layer-partitioned stages | local to stage | whole batch, staged |
-//! | [`HybridStopEngine`] (`hybrid_stop`) | TP shards, FSDP-sharded, gathered **one layer unit at a time** | reduce-scatter + DDP all-reduce | partitioned across FSDP x DDP |
+//! | [`EngineSpec`] ([`Engine::name`]) | engine | parameters | gradients | data |
+//! |---|---|---|---|---|
+//! | `Single` (`single_device`) | [`DataParallelEngine`] | `Replicate` on a 1-rank mesh | local | whole batch |
+//! | `Ddp` (`ddp`) | [`DataParallelEngine`] | `Replicate` | `Partial → Replicate`: **one all-reduce per step** | partitioned |
+//! | `Fsdp` (`fsdp`, vanilla) | [`DataParallelEngine`] | `ShardFlat` 1/N, **full-model gather** per step | `Partial → ShardFlat`: reduce-scatter | partitioned |
+//! | `TensorParallel` (`tensor_parallel`) | [`TensorParallelEngine`] | column/row shards, never gathered | local to shard | replicated |
+//! | `Pipeline` (`pipeline`) | [`PipelineEngine`] | layer-partitioned stages | local to stage | whole batch, staged |
+//! | `HybridStop` (`hybrid_stop`) | [`HybridStopEngine`] | TP shards, FSDP-sharded, gathered **one layer unit at a time** | reduce-scatter + DDP all-reduce | partitioned across FSDP x DDP |
+//!
+//! The first three are one engine: they differ only in the parameter
+//! layout the spec selects, so they share every line of step, predict,
+//! capture and restore code.
 //!
 //! Engines are constructed *inside* a cluster rank closure (see
 //! [`orbit_comm::Cluster::run`]), either directly by type or generically
@@ -22,19 +26,15 @@
 //! `Box<dyn Engine>` so tests, benches, and examples dispatch over all
 //! strategies with one code path.
 
-mod ddp;
-mod fsdp;
+mod data_parallel;
 mod hybrid_stop;
 mod pipeline;
-mod single;
 mod tp;
 mod trainer;
 
-pub use ddp::DdpEngine;
-pub use fsdp::FsdpEngine;
+pub use data_parallel::DataParallelEngine;
 pub use hybrid_stop::HybridStopEngine;
 pub use pipeline::PipelineEngine;
-pub use single::SingleDeviceEngine;
 pub use tp::TensorParallelEngine;
 pub use trainer::Trainer;
 
@@ -123,7 +123,8 @@ pub trait Engine {
 }
 
 /// Which engine to build — the generic-dispatch counterpart of the
-/// concrete `*Engine::new` constructors.
+/// concrete `*Engine::new` constructors. `Single`, `Ddp` and `Fsdp` all
+/// build a [`DataParallelEngine`] and select its parameter layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSpec {
     Single,
@@ -234,9 +235,9 @@ pub(crate) fn build_engine_inner(
 ) -> Result<Box<dyn Engine>, SimError> {
     validate_spec(&spec, ctx.world, &cfg)?;
     Ok(match spec {
-        EngineSpec::Single => Box::new(SingleDeviceEngine::new(ctx, cfg, opt, opts, seed)?),
-        EngineSpec::Ddp => Box::new(DdpEngine::new(ctx, cfg, opt, opts, seed)?),
-        EngineSpec::Fsdp => Box::new(FsdpEngine::new(ctx, cfg, opt, opts, seed)?),
+        EngineSpec::Single | EngineSpec::Ddp | EngineSpec::Fsdp => {
+            Box::new(DataParallelEngine::new(ctx, spec, cfg, opt, opts, seed)?)
+        }
         EngineSpec::TensorParallel => {
             Box::new(TensorParallelEngine::new(ctx, cfg, opt, opts, seed)?)
         }

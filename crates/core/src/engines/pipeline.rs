@@ -310,18 +310,8 @@ impl Engine for PipelineEngine {
     /// pass-through weights) but keep only the owned slices of the Adam
     /// moments, preserving the zero-moment invariant capture relies on.
     fn restore_checkpoint(&mut self, _ctx: &mut RankCtx, ck: &Checkpoint) -> Result<(), SimError> {
-        if !ck.matches_config(&self.model.cfg) {
-            return Err(SimError::State(
-                "checkpoint fingerprint does not match model config".into(),
-            ));
-        }
-        if ck.params.len() != self.state.m.len() {
-            return Err(SimError::State(format!(
-                "checkpoint has {} params, model expects {}",
-                ck.params.len(),
-                self.state.m.len()
-            )));
-        }
+        ck.validate(&self.model.cfg)
+            .map_err(|e| SimError::State(e.to_string()))?;
         self.model.load_flat_params(&ck.params);
         let ranges = self.ownership_ranges();
         let mut m = ck.adam_m.clone();

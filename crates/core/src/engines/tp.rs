@@ -18,7 +18,7 @@ use orbit_vit::block::Param;
 use orbit_vit::loss::weighted_mse;
 use orbit_vit::{Batch, Checkpoint, VitConfig, VitModel};
 
-use super::trainer::{configure_precision, Trainer};
+use super::trainer::{configure_precision, norm, Trainer};
 use super::Engine;
 
 /// Flatten a TpBlock's parameter values in visit order.
@@ -317,7 +317,7 @@ impl Engine for TensorParallelEngine {
         let applied =
             self.trainer
                 .unscale_synced(&mut ctx.clock, &mut self.tp_group, &mut [&mut grads])?;
-        let grad_norm = self.trainer.clip_and_norm(&mut grads);
+        let grad_norm = norm(&grads);
         if applied {
             self.trainer.opt.step(&mut self.state, &mut params, &grads);
             self.load_all(&params);
@@ -406,11 +406,8 @@ impl Engine for TensorParallelEngine {
     /// replicated, blocks column/row sliced) — parameters and both Adam
     /// moments.
     fn restore_checkpoint(&mut self, _ctx: &mut RankCtx, ck: &Checkpoint) -> Result<(), SimError> {
-        if !ck.matches_config(&self.front.cfg) {
-            return Err(SimError::State(
-                "checkpoint fingerprint does not match model config".into(),
-            ));
-        }
+        ck.validate(&self.front.cfg)
+            .map_err(|e| SimError::State(e.to_string()))?;
         let cfg = self.front.cfg;
         let tp = self.tp;
         let tp_idx = self.tp_group.local_index();

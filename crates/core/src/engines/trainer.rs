@@ -5,9 +5,9 @@
 //! latitude loss weights, the performance [`Calibration`], and the data
 //! replica coordinates — and provides the common step machinery: batch
 //! partitioning, the per-sample forward/backward loop, mixed-precision
-//! loss scaling and the cross-rank finiteness vote, gradient clipping,
-//! simulated compute charging, and [`StepStats`] assembly. Engine files
-//! keep only their distinct shard layout and collective choreography.
+//! loss scaling and the cross-rank finiteness vote, simulated compute
+//! charging, and [`StepStats`] assembly. Engine files keep only their
+//! distinct shard layout and collective choreography.
 
 use crate::scaler::GradScaler;
 use crate::stats::StepStats;
@@ -48,9 +48,6 @@ pub struct Trainer {
     /// Latitude loss weights for the model's grid.
     pub(crate) lat_w: Vec<f32>,
     calib: Calibration,
-    /// Optional global-norm gradient clip threshold (off by default, so
-    /// engines remain bit-equivalent to the unclipped reference).
-    clip_norm: Option<f32>,
     replica_id: usize,
     n_replicas: usize,
     /// Committed checkpoint generation the current weights came from
@@ -79,7 +76,6 @@ impl Trainer {
             scaler: GradScaler::default(),
             lat_w: lat_weights(cfg.dims.img_h),
             calib: Calibration::default(),
-            clip_norm: None,
             replica_id,
             n_replicas,
             generation: 0,
@@ -90,13 +86,6 @@ impl Trainer {
     /// assumptions without recompiling).
     pub fn with_calibration(mut self, calib: Calibration) -> Self {
         self.calib = calib;
-        self
-    }
-
-    /// Enable global-norm gradient clipping at `max_norm`.
-    pub fn with_clip_norm(mut self, max_norm: f32) -> Self {
-        assert!(max_norm > 0.0);
-        self.clip_norm = Some(max_norm);
         self
     }
 
@@ -299,27 +288,6 @@ impl Trainer {
         self.generation
     }
 
-    /// Rescale factor that caps `grad_norm` at the configured clip
-    /// threshold, if clipping is enabled and exceeded.
-    pub(crate) fn clip_scale(&self, grad_norm: f32) -> Option<f32> {
-        match self.clip_norm {
-            Some(max) if grad_norm > max => Some(max / grad_norm),
-            _ => None,
-        }
-    }
-
-    /// Gradient norm with optional in-place clipping. Returns the pre-clip
-    /// norm (what `StepStats::grad_norm` reports).
-    pub(crate) fn clip_and_norm(&self, grads: &mut [f32]) -> f32 {
-        let n = norm(grads);
-        if let Some(s) = self.clip_scale(n) {
-            for g in grads.iter_mut() {
-                *g *= s;
-            }
-        }
-        n
-    }
-
     /// Assemble the step statistics every engine returns.
     pub(crate) fn finish_step(
         &self,
@@ -355,27 +323,6 @@ mod tests {
             ..TrainOptions::none()
         });
         assert_eq!(t.loss_scale(), t.scaler.scale());
-    }
-
-    #[test]
-    fn clip_rescales_to_threshold() {
-        let t = trainer(TrainOptions::none()).with_clip_norm(1.0);
-        let mut g = vec![3.0f32, 4.0]; // norm 5
-        let pre = t.clip_and_norm(&mut g);
-        assert!((pre - 5.0).abs() < 1e-6);
-        assert!((norm(&g) - 1.0).abs() < 1e-6, "clipped to unit norm");
-        // Below the threshold nothing changes.
-        let mut small = vec![0.3f32, 0.4];
-        t.clip_and_norm(&mut small);
-        assert_eq!(small, vec![0.3, 0.4]);
-    }
-
-    #[test]
-    fn unclipped_norm_leaves_gradients_alone() {
-        let t = trainer(TrainOptions::none());
-        let mut g = vec![3.0f32, 4.0];
-        assert!((t.clip_and_norm(&mut g) - 5.0).abs() < 1e-6);
-        assert_eq!(g, vec![3.0, 4.0]);
     }
 
     #[test]

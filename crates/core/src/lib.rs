@@ -29,11 +29,11 @@
 //! delegates its shared step machinery to an [`engines::Trainer`]; generic
 //! callers construct a `Box<dyn Engine>` via [`engines::build_engine`] with
 //! an [`engines::EngineSpec`]. Concrete engines:
-//! [`engines::SingleDeviceEngine`], [`engines::DdpEngine`],
-//! [`engines::FsdpEngine`] (vanilla, full-model gather — the Fig. 2 peak
-//! memory pathology), [`engines::TensorParallelEngine`] (Megatron-style,
-//! head-limited), [`engines::PipelineEngine`] (GPipe-style),
-//! [`engines::HybridStopEngine`].
+//! [`engines::DataParallelEngine`] (single-device, DDP and vanilla FSDP,
+//! which differ only in parameter layout; FSDP's full-model gather is the
+//! Fig. 2 peak memory pathology), [`engines::TensorParallelEngine`]
+//! (Megatron-style, head-limited), [`engines::PipelineEngine`]
+//! (GPipe-style), [`engines::HybridStopEngine`].
 
 #![forbid(unsafe_code)]
 
@@ -49,8 +49,8 @@ pub mod tp_block;
 pub use dcomm::{comm_err, GroupComm};
 pub use elastic::{ElasticReport, ElasticTrainer, LaunchRecord};
 pub use engines::{
-    build_engine, spec_for_plan, DdpEngine, Engine, EngineSpec, FsdpEngine, HybridStopEngine,
-    PipelineEngine, SingleDeviceEngine, TensorParallelEngine, Trainer,
+    build_engine, spec_for_plan, DataParallelEngine, Engine, EngineSpec, HybridStopEngine,
+    PipelineEngine, TensorParallelEngine, Trainer,
 };
 pub use lint::{extract_comm_plan, lint_engine_spec, planner_static_check};
 pub use resilient::{AttemptSpec, ResilientReport, ResilientTrainer};

@@ -40,8 +40,12 @@ fn write_vec(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
 fn read_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
     let mut len8 = [0u8; 8];
     r.read_exact(&mut len8)?;
-    let len = u64::from_le_bytes(len8) as usize;
-    let mut out = Vec::with_capacity(len);
+    // The length is untrusted: reserve at most one chunk up front and let
+    // the vector grow only with bytes actually read, so a corrupt length
+    // ends in `UnexpectedEof` instead of a huge allocation.
+    let len = usize::try_from(u64::from_le_bytes(len8))
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "vector length overflows"))?;
+    let mut out = Vec::with_capacity(len.min(IO_CHUNK));
     let mut buf = vec![0u8; IO_CHUNK.min(len.max(1)) * 4];
     let mut remaining = len;
     while remaining > 0 {
@@ -129,21 +133,40 @@ impl Checkpoint {
         self.fingerprint == fingerprint(cfg)
     }
 
-    /// Restore into a model and optimizer state. Fails if the architecture
-    /// fingerprint or parameter count mismatches.
-    pub fn restore(&self, model: &mut VitModel, state: &mut AdamState) -> io::Result<()> {
-        if self.fingerprint != fingerprint(&model.cfg) {
+    /// Check that this checkpoint fits a model built from `cfg`: the
+    /// architecture fingerprint matches, and the parameters and both Adam
+    /// moments each hold exactly the model's parameter count. Every
+    /// restore path runs this first, so a malformed checkpoint is a typed
+    /// error instead of a panic in the next optimizer step.
+    pub fn validate(&self, cfg: &VitConfig) -> io::Result<()> {
+        if !self.matches_config(cfg) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "checkpoint architecture fingerprint mismatch",
             ));
         }
-        if self.params.len() != model.param_count() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "checkpoint parameter count mismatch",
-            ));
+        let want = cfg.param_count();
+        for (name, len) in [
+            ("params", self.params.len()),
+            ("adam_m", self.adam_m.len()),
+            ("adam_v", self.adam_v.len()),
+        ] {
+            if len != want {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "checkpoint {name} has {len} elements, the model has {want} parameters"
+                    ),
+                ));
+            }
         }
+        Ok(())
+    }
+
+    /// Restore into a model and optimizer state. Fails, leaving both
+    /// untouched, unless the checkpoint [validates](Self::validate).
+    pub fn restore(&self, model: &mut VitModel, state: &mut AdamState) -> io::Result<()> {
+        self.validate(&model.cfg)?;
         model.load_flat_params(&self.params);
         state.m = self.adam_m.clone();
         state.v = self.adam_v.clone();
@@ -375,6 +398,36 @@ mod tests {
         assert_eq!(legacy.scaler, None);
         assert_eq!(legacy.params, ckpt.params);
         assert_eq!(legacy.adam_step, ckpt.adam_step);
+    }
+
+    #[test]
+    fn short_adam_moment_fails_validation_and_restore() {
+        let (mut model, state, _, _) = trained_model();
+        let mut ckpt = Checkpoint::capture(&mut model, &state);
+        assert!(ckpt.validate(&model.cfg).is_ok());
+        ckpt.adam_m.pop();
+        let err = ckpt.validate(&model.cfg).unwrap_err();
+        assert!(err.to_string().contains("adam_m"), "{err}");
+        let mut fresh_state = model.init_adam_state();
+        assert!(ckpt.restore(&mut model, &mut fresh_state).is_err());
+        assert_eq!(fresh_state.m.len(), model.param_count(), "state untouched");
+    }
+
+    #[test]
+    fn huge_length_field_is_an_error_not_an_allocation() {
+        let (mut model, state, _, _) = trained_model();
+        let mut bytes = Vec::new();
+        Checkpoint::capture(&mut model, &state)
+            .save(&mut bytes)
+            .unwrap();
+        // The params length field follows magic, fingerprint, adam_step
+        // and the (empty) scaler flag.
+        let at = 8 + 5 * 8 + 8 + 1;
+        for len in [u64::MAX, 1 << 60, 1 << 40] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            assert!(Checkpoint::load(&mut bad.as_slice()).is_err(), "len {len}");
+        }
     }
 
     #[test]

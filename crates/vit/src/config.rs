@@ -67,6 +67,18 @@ impl VitConfig {
         })
     }
 
+    /// Parameters of the model this config builds: the closed form of
+    /// [`ModelDims::param_count`], less the QK layer norms when they are
+    /// off.
+    pub fn param_count(&self) -> usize {
+        let qk_norms = if self.qk_norm {
+            0
+        } else {
+            self.dims.layers * 4 * (self.dims.embed / self.dims.heads)
+        };
+        self.dims.param_count() as usize - qk_norms
+    }
+
     /// Number of spatial tokens.
     pub fn tokens(&self) -> usize {
         self.dims.tokens()

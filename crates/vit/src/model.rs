@@ -369,6 +369,16 @@ mod tests {
     }
 
     #[test]
+    fn config_param_count_matches_model_with_and_without_qk_norm() {
+        for qk_norm in [true, false] {
+            let mut c = VitConfig::ladder(1, 8);
+            c.qk_norm = qk_norm;
+            let mut model = VitModel::init(c, 42);
+            assert_eq!(model.param_count(), c.param_count(), "qk_norm {qk_norm}");
+        }
+    }
+
+    #[test]
     fn flatten_load_roundtrip() {
         let c = cfg();
         let mut model = VitModel::init(c, 42);

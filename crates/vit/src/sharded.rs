@@ -353,8 +353,13 @@ impl Manifest {
         let adam_step = read_u64(&mut r)?;
         let scaler = read_scaler(&mut r)?;
         let param_len = read_u64(&mut r)?;
-        let count = read_u64(&mut r)? as usize;
-        let mut shards = Vec::with_capacity(count);
+        // The count is untrusted: the shard table (12 bytes an entry) must
+        // be exactly the bytes left before the CRC.
+        let count = read_u64(&mut r)?;
+        if count.checked_mul(12) != Some(r.len() as u64) {
+            return Err(bad("manifest shard table does not match its count"));
+        }
+        let mut shards = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let len = read_u64(&mut r)?;
             let crc = read_u32(&mut r)?;
@@ -578,39 +583,47 @@ impl ShardStore {
             return Err(bad("manifest generation mismatch"));
         }
         let count = manifest.shards.len();
+        if count == 0 {
+            return Err(bad("manifest lists no shards"));
+        }
+        let len =
+            usize::try_from(manifest.param_len).map_err(|_| bad("manifest param_len overflows"))?;
+        // Every shard holds one padded `ShardFlat` chunk of `param_len`.
+        let chunk = len.div_ceil(count);
         let mut params = Vec::new();
         let mut adam_m = Vec::new();
         let mut adam_v = Vec::new();
         for (index, &(shard_len, expect_crc)) in manifest.shards.iter().enumerate() {
-            let mut r = BufReader::new(File::open(self.shard_path(generation, index))?);
+            let file = fs::read(self.shard_path(generation, index))?;
+            let mut r = file.as_slice();
             let header = ShardHeader::decode(&mut r)?;
             if header.generation != generation
                 || header.index != index as u64
                 || header.count != count as u64
                 || header.fingerprint != manifest.fingerprint
+                || header.param_len != manifest.param_len
                 || header.shard_len != shard_len
+                || shard_len != chunk as u64
             {
                 return Err(bad(format!("shard {index} does not match manifest")));
             }
-            let mut payload = vec![0u8; shard_len as usize * 12];
-            // A torn shard is shorter than its header claims: this read
-            // fails, and the caller falls back a generation.
-            r.read_exact(&mut payload)?;
-            if crc32(&payload) != expect_crc {
+            // A torn shard is shorter than its header claims: the bytes
+            // present bound the read, and the caller falls back a
+            // generation.
+            let payload = chunk
+                .checked_mul(12)
+                .and_then(|n| r.get(..n))
+                .ok_or_else(|| bad(format!("shard {index} payload is truncated")))?;
+            if crc32(payload) != expect_crc {
                 return Err(bad(format!("shard {index} payload CRC mismatch")));
             }
             let floats: Vec<f32> = payload
                 .chunks_exact(4)
                 .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
                 .collect();
-            let n = shard_len as usize;
-            params.extend_from_slice(&floats[..n]);
-            adam_m.extend_from_slice(&floats[n..2 * n]);
-            adam_v.extend_from_slice(&floats[2 * n..]);
-        }
-        let len = manifest.param_len as usize;
-        if params.len() < len {
-            return Err(bad("manifest shard set covers fewer than param_len"));
+            params.extend_from_slice(&floats[..chunk]);
+            adam_m.extend_from_slice(&floats[chunk..2 * chunk]);
+            adam_v.extend_from_slice(&floats[2 * chunk..]);
         }
         params.truncate(len);
         adam_m.truncate(len);
@@ -650,6 +663,8 @@ impl ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VitConfig;
+    use orbit_tensor::init::Rng;
 
     fn sample_checkpoint(len: usize) -> Checkpoint {
         Checkpoint {
@@ -802,6 +817,148 @@ mod tests {
             assert_eq!(loaded.generation, expect_gen);
             assert_eq!(loaded.checkpoint, ck);
             fs::remove_file(store.dir().join(format!("manifest-g{expect_gen:010}.bin"))).unwrap();
+        }
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// A model small enough that truncating every committed file at
+    /// every byte stays fast: 388 parameters, so three shards carry one
+    /// element of padding.
+    fn mutation_config() -> VitConfig {
+        VitConfig::new(orbit_frontier::ModelDims {
+            embed: 4,
+            layers: 1,
+            heads: 2,
+            channels: 2,
+            patch: 2,
+            img_h: 2,
+            img_w: 4,
+            out_channels: 1,
+        })
+    }
+
+    fn config_checkpoint(cfg: &VitConfig, offset: f32) -> Checkpoint {
+        let n = cfg.param_count();
+        Checkpoint {
+            fingerprint: crate::checkpoint::config_fingerprint(cfg),
+            params: (0..n).map(|i| i as f32 * 0.5 + offset).collect(),
+            adam_m: (0..n).map(|i| (i as f32).cos()).collect(),
+            adam_v: (0..n).map(|i| i as f32 * 1e-4).collect(),
+            adam_step: 17,
+            scaler: Some(ScalerState {
+                scale: 1024.0,
+                clean_steps: 9,
+                skipped_steps: 2,
+            }),
+        }
+    }
+
+    /// Byte offset of the field after the scaler section, given where the
+    /// section starts (1 flag byte plus 16 bytes when present).
+    fn after_scaler(start: usize, bytes: &[u8]) -> usize {
+        start + if bytes[start] == 0 { 1 } else { 17 }
+    }
+
+    fn put_u64_at(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn recompute_manifest_crc(bytes: &mut [u8]) {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn mutated_generation_is_a_typed_error_or_a_valid_checkpoint() {
+        const SHARDS: usize = 3;
+        let cfg = mutation_config();
+        let store = temp_store("mutation");
+        let (ck1, ck2) = (config_checkpoint(&cfg, 1.0), config_checkpoint(&cfg, 2.0));
+        write_generation(&store, &ck1, 1, SHARDS, None);
+        write_generation(&store, &ck2, 2, SHARDS, None);
+        let mut files = vec![store.manifest_path(2)];
+        files.extend((0..SHARDS).map(|i| store.shard_path(2, i)));
+        let originals: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
+
+        // (label, file, mutated bytes)
+        let mut mutations: Vec<(String, usize, Vec<u8>)> = Vec::new();
+        for (f, orig) in originals.iter().enumerate() {
+            for cut in 0..orig.len() {
+                mutations.push((format!("truncate at {cut}"), f, orig[..cut].to_vec()));
+            }
+        }
+        for seed in 0..2000u64 {
+            let mut rng = Rng::seed(seed);
+            let f = rng.index(files.len());
+            let bit = rng.index(originals[f].len() * 8);
+            let mut bytes = originals[f].clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            mutations.push((format!("seed {seed}: flip bit {bit}"), f, bytes));
+        }
+        let n = cfg.param_count() as u64;
+        let values = [
+            0,
+            1,
+            2,
+            n - 1,
+            n + 1,
+            n * 4,
+            1 << 40,
+            u64::MAX / 12 + 1,
+            u64::MAX,
+        ];
+        // Manifest: magic, generation, step, fingerprint, adam_step, then
+        // the scaler section, param_len, count and the shard table.
+        let m = &originals[0];
+        let m_param_len = after_scaler(8 + 8 + 8 + 40 + 8, m);
+        let mut m_fields = vec![("param_len", m_param_len), ("count", m_param_len + 8)];
+        m_fields.extend((0..SHARDS).map(|i| ("shard_len", m_param_len + 16 + 12 * i)));
+        // Shard header: magic, fingerprint, generation, index, count,
+        // adam_step, then the scaler section, param_len and shard_len.
+        let h_param_len = after_scaler(8 + 40 + 8 + 8 + 8 + 8, &originals[1]);
+        let h_fields = [
+            ("count", 8 + 40 + 16),
+            ("param_len", h_param_len),
+            ("shard_len", h_param_len + 8),
+        ];
+        for &v in &values {
+            for &(name, at) in &m_fields {
+                let mut bytes = m.clone();
+                put_u64_at(&mut bytes, at, v);
+                recompute_manifest_crc(&mut bytes);
+                mutations.push((format!("manifest {name} = {v}"), 0, bytes));
+            }
+            for (f, original) in originals.iter().enumerate().skip(1) {
+                for &(name, at) in &h_fields {
+                    let mut bytes = original.clone();
+                    put_u64_at(&mut bytes, at, v);
+                    mutations.push((format!("header {name} = {v}"), f, bytes));
+                }
+            }
+        }
+
+        for (label, f, bytes) in &mutations {
+            let what = format!("{label} of {}", files[*f].display());
+            fs::write(&files[*f], bytes).unwrap();
+            let outcome = std::panic::catch_unwind(|| {
+                (store.load_generation(2), store.load_latest().unwrap())
+            });
+            fs::write(&files[*f], &originals[*f]).unwrap();
+            let (direct, latest) = outcome.unwrap_or_else(|_| panic!("{what}: loader panicked"));
+            let latest = latest.unwrap_or_else(|| panic!("{what}: nothing loadable"));
+            match direct {
+                Ok(loaded) => {
+                    if let Err(e) = loaded.checkpoint.validate(&cfg) {
+                        panic!("{what}: loaded an invalid checkpoint: {e}");
+                    }
+                    assert_eq!(latest.generation, 2, "{what}");
+                }
+                Err(_) => {
+                    assert_eq!(latest.generation, 1, "{what}: no fallback");
+                    assert_eq!(latest.checkpoint, ck1, "{what}");
+                }
+            }
         }
         fs::remove_dir_all(store.dir()).ok();
     }

@@ -12,7 +12,9 @@
 //! ```
 
 use orbit::comm::Cluster;
-use orbit::core::{Engine, FsdpEngine, HybridStopEngine, ParallelLayout, TrainOptions};
+use orbit::core::{
+    DataParallelEngine, Engine, EngineSpec, HybridStopEngine, ParallelLayout, TrainOptions,
+};
 use orbit::tensor::init::Rng;
 use orbit::tensor::kernels::AdamW;
 use orbit::vit::loss::lat_weights;
@@ -81,7 +83,9 @@ fn main() {
 
     // Vanilla FSDP on 4 GPUs for the memory contrast.
     let fsdp_peak = Cluster::frontier().run(4, |ctx| {
-        let mut engine = FsdpEngine::new(ctx, cfg, opt, TrainOptions::none(), 42).unwrap();
+        let mut engine =
+            DataParallelEngine::new(ctx, EngineSpec::Fsdp, cfg, opt, TrainOptions::none(), 42)
+                .unwrap();
         engine.train_step(ctx, &batch).unwrap();
         ctx.device.peak()
     })[0];

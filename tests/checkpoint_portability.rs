@@ -3,7 +3,7 @@
 //! device, to DDP, and to a differently-factored Hybrid-STOP grid — and
 //! survives a file round trip through the bulk binary format.
 
-use orbit::comm::Cluster;
+use orbit::comm::{Cluster, SimError};
 use orbit::core::{build_engine, EngineSpec, ParallelLayout, TrainOptions};
 use orbit::tensor::init::Rng;
 use orbit::tensor::kernels::AdamW;
@@ -211,5 +211,34 @@ fn checkpoint_file_roundtrip_then_resume_matches_in_memory_resume() {
             (a - b).abs() < 1e-5 * b.abs().max(1.0),
             "resumed step {i}: single-from-file {a} vs ddp-from-memory {b}"
         );
+    }
+}
+
+/// Every engine validates a checkpoint before restoring it: one whose
+/// `adam_m` is an element short is a typed `SimError::State` on every
+/// rank, never a panic in the next optimizer step.
+#[test]
+fn short_adam_moment_is_a_typed_error_in_every_engine() {
+    let cfg = VitConfig::test_tiny();
+    let mut ck = train_and_capture(EngineSpec::Single, 1, cfg, 1);
+    ck.adam_m.pop();
+    for (spec, world) in [
+        (EngineSpec::Single, 1),
+        (EngineSpec::Ddp, 2),
+        (EngineSpec::Fsdp, 2),
+        (EngineSpec::TensorParallel, 2),
+        (EngineSpec::HybridStop(ParallelLayout::new(1, 2, 1)), 2),
+    ] {
+        let outcomes = Cluster::frontier().try_run(world, |ctx| {
+            let mut engine =
+                build_engine(ctx, spec, cfg, AdamW::default(), TrainOptions::none(), 7)?;
+            engine.restore_checkpoint(ctx, &ck)
+        });
+        for outcome in &outcomes {
+            match outcome.sim_error() {
+                Some(SimError::State(msg)) => assert!(msg.contains("adam_m"), "{msg}"),
+                other => panic!("{}: expected a State error, got {other:?}", spec.name()),
+            }
+        }
     }
 }

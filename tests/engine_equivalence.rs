@@ -5,7 +5,8 @@
 
 use orbit::comm::Cluster;
 use orbit::core::{
-    build_engine, Engine, EngineSpec, FsdpEngine, HybridStopEngine, ParallelLayout, TrainOptions,
+    build_engine, DataParallelEngine, Engine, EngineSpec, HybridStopEngine, ParallelLayout,
+    TrainOptions,
 };
 use orbit::tensor::init::Rng;
 use orbit::tensor::kernels::AdamW;
@@ -171,7 +172,9 @@ fn hybrid_stop_tp1_fsdp_n_equals_layer_wrapped_fsdp() {
     let batch = make_batch(&cfg, 4, 7);
     let opt = AdamW::default();
     let fsdp = Cluster::frontier().run(4, |ctx| {
-        let mut e = FsdpEngine::new(ctx, cfg, opt, TrainOptions::none(), 42).unwrap();
+        let mut e =
+            DataParallelEngine::new(ctx, EngineSpec::Fsdp, cfg, opt, TrainOptions::none(), 42)
+                .unwrap();
         (0..2)
             .map(|_| e.train_step(ctx, &batch).unwrap().loss)
             .collect::<Vec<_>>()

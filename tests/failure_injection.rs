@@ -4,7 +4,8 @@
 
 use orbit::comm::Cluster;
 use orbit::core::{
-    Engine, GradScaler, HybridStopEngine, ParallelLayout, SingleDeviceEngine, TrainOptions,
+    DataParallelEngine, Engine, EngineSpec, GradScaler, HybridStopEngine, ParallelLayout,
+    TrainOptions,
 };
 use orbit::tensor::init::Rng;
 use orbit::tensor::kernels::AdamW;
@@ -59,9 +60,15 @@ fn oom_mid_step_reports_capacity_pressure() {
     let results = Cluster::frontier()
         .with_device_capacity(persistent_bytes + 1024)
         .run(1, |ctx| {
-            let mut e =
-                SingleDeviceEngine::new(ctx, cfg, AdamW::default(), TrainOptions::none(), 1)
-                    .expect("persistent state fits");
+            let mut e = DataParallelEngine::new(
+                ctx,
+                EngineSpec::Single,
+                cfg,
+                AdamW::default(),
+                TrainOptions::none(),
+                1,
+            )
+            .expect("persistent state fits");
             e.train_step(ctx, &batch).err()
         });
     assert!(results[0].is_some(), "activation alloc must OOM");

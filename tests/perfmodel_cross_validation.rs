@@ -4,7 +4,9 @@
 //! agree on its *direction*.
 
 use orbit::comm::Cluster;
-use orbit::core::{Engine, FsdpEngine, HybridStopEngine, ParallelLayout, TrainOptions};
+use orbit::core::{
+    DataParallelEngine, Engine, EngineSpec, HybridStopEngine, ParallelLayout, TrainOptions,
+};
 use orbit::frontier::{PerfModel, Strategy};
 use orbit::tensor::init::Rng;
 use orbit::tensor::kernels::AdamW;
@@ -73,8 +75,15 @@ fn both_agree_hybrid_stop_beats_fsdp_peak() {
     let batch = make_batch(&cfg(), 4);
     // Simulator at world 4.
     let fsdp_peak = Cluster::frontier().run(4, |ctx| {
-        let mut e =
-            FsdpEngine::new(ctx, cfg(), AdamW::default(), TrainOptions::none(), 42).unwrap();
+        let mut e = DataParallelEngine::new(
+            ctx,
+            EngineSpec::Fsdp,
+            cfg(),
+            AdamW::default(),
+            TrainOptions::none(),
+            42,
+        )
+        .unwrap();
         e.train_step(ctx, &batch).unwrap().peak_mem
     })[0];
     let (hs_peak, _) = run_hs(
