@@ -84,34 +84,6 @@ impl ClimateGenerator {
         -90.0 + 180.0 * (y as f32 + 0.5) / self.h as f32
     }
 
-    /// Climatological base profile: variable-kind-specific latitude
-    /// structure plus a fixed spatial texture (continents, orography).
-    fn base_value(&self, var: usize, x: usize, y: usize) -> f32 {
-        let lat = self.lat(y).to_radians();
-        let kind = self.catalog.variables()[var].kind;
-        let profile = match kind {
-            // Temperature-like: warm equator, cold poles.
-            VarKind::Surface | VarKind::Atmospheric { .. }
-                if self.catalog.variables()[var].name.starts_with('t') =>
-            {
-                1.2 * lat.cos() - 0.4
-            }
-            // Zonal wind: mid-latitude jets of opposite sign.
-            _ if self.catalog.variables()[var].name.starts_with('u') => (2.0 * lat).sin() * 0.9,
-            // Geopotential: monotone pole-to-pole gradient.
-            _ if self.catalog.variables()[var].name.starts_with('z') => lat.sin() * 0.8,
-            _ => 0.5 * lat.cos(),
-        };
-        // Fixed per-variable texture (stationary "continents").
-        let key = self.seed ^ mix(0xC0FFEE ^ var as u64);
-        let tx = unit(key ^ 11) * 3.0 + 1.0;
-        let ty = unit(key ^ 13) * 2.0 + 1.0;
-        let texture = 0.15
-            * (TAU * (tx * x as f32 / self.w as f32)).sin()
-            * (TAU * (ty * y as f32 / self.h as f32)).cos();
-        profile + texture
-    }
-
     fn waves(&self, source: usize, var: usize, predictable: bool) -> Vec<Wave> {
         // ERA5 shares the "truth" wave set (source perturbation = 1);
         // CMIP6 sources perturb amplitude and speed.
@@ -163,36 +135,32 @@ impl ClimateGenerator {
             .collect()
     }
 
-    /// The field for `var` at time step `t` from `source`.
+    /// The field for `var` at time step `t` from `source`: the climatology
+    /// plus the waves, plus observation noise for ERA5.
     pub fn field(&self, source: usize, var: usize, t: usize) -> Tensor {
         let kind = self.catalog.variables()[var].kind;
-        let mut img = Tensor::zeros(self.h, self.w);
+        let mut img = self.climatology(var);
         // Static variables are time-invariant.
-        let (pred, noise) = if kind == VarKind::Static {
-            (Vec::new(), Vec::new())
-        } else {
-            (
-                self.waves(source, var, true),
-                self.waves(source, var, false),
-            )
-        };
+        if kind == VarKind::Static {
+            return img;
+        }
+        let mut waves = self.waves(source, var, true);
+        waves.extend(self.waves(source, var, false));
         let tf = t as f32;
-        for y in 0..self.h {
-            for x in 0..self.w {
-                let mut v = self.base_value(var, x, y);
+        for (y, row) in img.data_mut().chunks_mut(self.w).enumerate() {
+            let ys = y as f32 / self.h as f32;
+            for (x, v) in row.iter_mut().enumerate() {
                 let xs = x as f32 / self.w as f32;
-                let ys = y as f32 / self.h as f32;
-                for wv in pred.iter().chain(&noise) {
-                    v +=
+                for wv in &waves {
+                    *v +=
                         wv.amp * (TAU * (wv.kx * xs + wv.ky * ys) - wv.omega * tf + wv.phase).cos();
                 }
                 // ERA5 carries observation noise (per-pixel, per-time).
-                if source == ERA5_SOURCE && kind != VarKind::Static {
+                if source == ERA5_SOURCE {
                     let key = self.seed
                         ^ mix((var as u64) << 40 ^ (t as u64) << 20 ^ (y as u64) << 8 ^ x as u64);
-                    v += 0.05 * (unit(key) - 0.5);
+                    *v += 0.05 * (unit(key) - 0.5);
                 }
-                img.set(y, x, v);
             }
         }
         img
@@ -213,12 +181,12 @@ impl ClimateGenerator {
     /// The unpredictable weather-noise component is (correctly) absent
     /// from the forecast.
     pub fn nwp_forecast(&self, var: usize, t: usize, lead: usize, speed_error: f32) -> Tensor {
-        let mut img = Tensor::zeros(self.h, self.w);
+        let mut img = self.climatology(var);
         let waves = self.waves(ERA5_SOURCE, var, true);
         let valid = (t + lead) as f32;
         for y in 0..self.h {
             for x in 0..self.w {
-                let mut v = self.base_value(var, x, y);
+                let mut v = img.get(y, x);
                 let xs = x as f32 / self.w as f32;
                 let ys = y as f32 / self.h as f32;
                 for wv in &waves {
@@ -239,12 +207,38 @@ impl ClimateGenerator {
     }
 
     /// The time-mean climatology of a variable (the wave terms average
-    /// out, leaving the base state) — used for anomaly metrics.
+    /// out, leaving the base state) — used for anomaly metrics, and the
+    /// base every field starts from: a variable-kind-specific latitude
+    /// profile plus a fixed spatial texture (continents, orography). Each
+    /// factor that depends on the row or the column only is computed once.
     pub fn climatology(&self, var: usize) -> Tensor {
+        let info = &self.catalog.variables()[var];
+        let name = &info.name;
+        let profile: fn(f32) -> f32 = match info.kind {
+            // Temperature-like: warm equator, cold poles.
+            VarKind::Surface | VarKind::Atmospheric { .. } if name.starts_with('t') => {
+                |lat| 1.2 * lat.cos() - 0.4
+            }
+            // Zonal wind: mid-latitude jets of opposite sign.
+            _ if name.starts_with('u') => |lat| (2.0 * lat).sin() * 0.9,
+            // Geopotential: monotone pole-to-pole gradient.
+            _ if name.starts_with('z') => |lat| lat.sin() * 0.8,
+            _ => |lat| 0.5 * lat.cos(),
+        };
+        // Fixed per-variable texture (stationary "continents"):
+        // 0.15 * sin(x-term) * cos(y-term).
+        let key = self.seed ^ mix(0xC0FFEE ^ var as u64);
+        let tx = unit(key ^ 11) * 3.0 + 1.0;
+        let ty = unit(key ^ 13) * 2.0 + 1.0;
+        let texture_x: Vec<f32> = (0..self.w)
+            .map(|x| 0.15 * (TAU * (tx * x as f32 / self.w as f32)).sin())
+            .collect();
         let mut img = Tensor::zeros(self.h, self.w);
-        for y in 0..self.h {
-            for x in 0..self.w {
-                img.set(y, x, self.base_value(var, x, y));
+        for (y, row) in img.data_mut().chunks_mut(self.w).enumerate() {
+            let base = profile(self.lat(y).to_radians());
+            let texture_y = (TAU * (ty * y as f32 / self.h as f32)).cos();
+            for (v, &tex_x) in row.iter_mut().zip(&texture_x) {
+                *v = base + tex_x * texture_y;
             }
         }
         img
@@ -257,6 +251,77 @@ mod tests {
 
     fn generator() -> ClimateGenerator {
         ClimateGenerator::new(16, 32, VariableCatalog::laptop_8(), 7)
+    }
+
+    /// `field` as a per-pixel formula, every factor recomputed at every
+    /// pixel: the oracle for the hoisted row and column factors.
+    fn field_per_pixel(g: &ClimateGenerator, source: usize, var: usize, t: usize) -> Tensor {
+        let base_value = |x: usize, y: usize| {
+            let lat = g.lat(y).to_radians();
+            let kind = g.catalog.variables()[var].kind;
+            let profile = match kind {
+                VarKind::Surface | VarKind::Atmospheric { .. }
+                    if g.catalog.variables()[var].name.starts_with('t') =>
+                {
+                    1.2 * lat.cos() - 0.4
+                }
+                _ if g.catalog.variables()[var].name.starts_with('u') => (2.0 * lat).sin() * 0.9,
+                _ if g.catalog.variables()[var].name.starts_with('z') => lat.sin() * 0.8,
+                _ => 0.5 * lat.cos(),
+            };
+            let key = g.seed ^ mix(0xC0FFEE ^ var as u64);
+            let tx = unit(key ^ 11) * 3.0 + 1.0;
+            let ty = unit(key ^ 13) * 2.0 + 1.0;
+            let texture = 0.15
+                * (TAU * (tx * x as f32 / g.w as f32)).sin()
+                * (TAU * (ty * y as f32 / g.h as f32)).cos();
+            profile + texture
+        };
+        let kind = g.catalog.variables()[var].kind;
+        let mut img = Tensor::zeros(g.h, g.w);
+        let (pred, noise) = if kind == VarKind::Static {
+            (Vec::new(), Vec::new())
+        } else {
+            (g.waves(source, var, true), g.waves(source, var, false))
+        };
+        let tf = t as f32;
+        for y in 0..g.h {
+            for x in 0..g.w {
+                let mut v = base_value(x, y);
+                let xs = x as f32 / g.w as f32;
+                let ys = y as f32 / g.h as f32;
+                for wv in pred.iter().chain(&noise) {
+                    v +=
+                        wv.amp * (TAU * (wv.kx * xs + wv.ky * ys) - wv.omega * tf + wv.phase).cos();
+                }
+                if source == ERA5_SOURCE && kind != VarKind::Static {
+                    let key = g.seed
+                        ^ mix((var as u64) << 40 ^ (t as u64) << 20 ^ (y as u64) << 8 ^ x as u64);
+                    v += 0.05 * (unit(key) - 0.5);
+                }
+                img.set(y, x, v);
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn field_matches_the_per_pixel_formula_bit_for_bit() {
+        let g = generator();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Var 0 (orography) is static, var 5 (z_500) dynamic; every
+        // variable covers every latitude-profile arm.
+        assert_eq!(g.catalog().variables()[0].kind, VarKind::Static);
+        assert_ne!(g.catalog().variables()[5].kind, VarKind::Static);
+        for source in [0, 6, ERA5_SOURCE] {
+            for var in 0..g.catalog().len() {
+                for t in [0, 417] {
+                    let want = field_per_pixel(&g, source, var, t);
+                    let got = g.field(source, var, t);
+                    assert_eq!(bits(&got), bits(&want), "source {source} var {var} t {t}");
+                }
+            }
+        }
     }
 
     #[test]

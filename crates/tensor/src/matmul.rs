@@ -1,30 +1,33 @@
 //! Blocked, packed, parallel GEMM.
 //!
-//! Each simulated GPU executes its shard's matmuls through these kernels.
-//! Two code paths share every kernel:
+//! Each simulated GPU executes its shard's matmuls through these kernels:
+//! `C = A·B` ([`matmul_p`]), `C = A·Bᵀ` ([`matmul_nt`], `dX = dY·Wᵀ` and
+//! `Q·Kᵀ`) and `C = Aᵀ·B` ([`matmul_tn`], the weight gradient `dW = Xᵀ·dY`).
+//! Each variant has two bodies:
 //!
-//! - a **legacy** `i-k-j` loop (output-row outer, reduction middle, output-col
-//!   inner) for small problems, where the innermost loop streams both `B`'s
-//!   row and `C`'s row — the cache-friendly order for row-major data;
-//! - a **packed** path for large problems, one per transpose variant:
-//!   - `C = A·B` ([`matmul_p`]) copies `B` into contiguous `KC x NC` panels
-//!     (GEBP-style), then drives a 4x-unrolled inner kernel over `MC`-row
-//!     chunks of `A`/`C` distributed across the [`crate::par`] pool;
-//!   - `C = A·Bᵀ` ([`matmul_nt`]) interleaves 4 rows of `B` lane by lane so
-//!     the inner loop runs 4 independent dot products at once;
-//!   - `C = Aᵀ·B` ([`matmul_tn`], the weight gradient `dW = Xᵀ·dY`)
-//!     transposes `A` into an `m x k` buffer with a cache-blocked copy and
-//!     then runs the `A·B` GEBP kernel on it.
+//! - a **legacy** loop for small problems: `i-k-j` for NN and TN (the inner
+//!   loop streams a row of `B` into a row of `C`), one scalar dot per element
+//!   for NT. It is also the oracle the packed body is tested against;
+//! - one **packed** register-tiled kernel shared by all three variants. `B` is
+//!   copied once into `NR`-wide strips of `KC`-deep panels; the same packer
+//!   reads `B` as `k x n` (NN, TN) or as `n x k` (NT). `A` is read through a
+//!   row stride and a `k` stride, so TN reads `Xᵀ` in place. `MC`-row chunks
+//!   of `C` go to the [`crate::par`] pool, and each keeps an `MR x NR` tile of
+//!   `C` in registers across a panel.
 //!
-//! Determinism is sacred here: for every output element the packed path
-//! performs *exactly* the same additions in *exactly* the same (ascending
-//! `k`) order as the legacy path, so the two paths are bit-identical and
-//! path selection can depend on shape without perturbing any
-//! engine-equivalence test. For NN that includes the `a == 0.0` skip; NT
-//! keeps one accumulator per dot product, starting at zero, as the legacy
-//! scalar dot does; TN reads `a[kk][i]` from the transposed copy at the same
-//! ascending `kk` and keeps the NN skip, which is exactly the legacy TN loop.
-//! All three variants choose their path with the same rule (`use_packed`).
+//! The tile body is plain safe Rust, compiled twice from one source: with
+//! AVX2 enabled (chosen at run time when the CPU has it) and for the baseline
+//! target. Multiplies and adds stay separate, never fused, so both compute
+//! the same bits.
+//!
+//! Determinism is sacred here: for every output element the packed body
+//! performs *exactly* the legacy arithmetic — each product rounded, then
+//! added one at a time in ascending `k` — so the two bodies are bit-identical
+//! and body selection can depend on shape without perturbing any
+//! engine-equivalence test. NN and TN start from the existing `C` and skip
+//! `a == 0.0` (tested after bf16 rounding in [`Precision::BF16Mixed`]) per row
+//! of the tile; NT starts at `0.0` and never skips, as the legacy dot does.
+//! All three variants choose their body with the same rule (`use_packed`).
 //! Parallel dispatch is **work-based** (`m*k*n` mul-adds) rather than
 //! row-based, so tall-skinny and short-wide shapes both dispatch sensibly.
 
@@ -41,10 +44,12 @@ const PACK_MIN_WORK: usize = 1 << 17;
 const PACK_MIN_ROWS: usize = 8;
 /// Output-row chunk per pool task in the packed path.
 const MC: usize = 64;
-/// Reduction-dimension panel height.
+/// Reduction-dimension panel depth.
 const KC: usize = 128;
-/// Output-column panel width.
-const NC: usize = 256;
+/// Rows of the `C` tile held in registers.
+const MR: usize = 4;
+/// Columns of the `C` tile held in registers: one packed strip of `B`.
+const NR: usize = 16;
 
 #[inline]
 fn use_parallel(m: usize, k: usize, n: usize) -> bool {
@@ -54,6 +59,14 @@ fn use_parallel(m: usize, k: usize, n: usize) -> bool {
 #[inline]
 fn use_packed(m: usize, k: usize, n: usize) -> bool {
     m >= PACK_MIN_ROWS && m.saturating_mul(k).saturating_mul(n) >= PACK_MIN_WORK
+}
+
+/// Whether the CPU runs the AVX2 build of the tile body.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// `C = A * B` where `A` is `m x k` and `B` is `k x n`.
@@ -66,15 +79,24 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// In [`Precision::BF16Mixed`], every input element is rounded through
 /// bfloat16 before use while the accumulator stays f32 — matching the
 /// MI250X BF16 MFMA pipeline the paper runs on. The packed path rounds `B`
-/// once at pack time (rounding is idempotent, so this is bit-identical to
-/// rounding at every use).
+/// once at pack time and `A` as it loads it (rounding is idempotent, so this
+/// is bit-identical to rounding at every use).
 pub fn matmul_p(a: &Tensor, b: &Tensor, prec: Precision) -> Tensor {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "matmul inner dim mismatch: {k} vs {k2}");
     let mut c = Tensor::zeros(m, n);
     if use_packed(m, k, n) {
-        gemm_nn_packed(a.data(), b.data(), c.data_mut(), m, k, n, prec);
+        let dims = (m, k, n);
+        gemm_packed(
+            GemmOp::Nn,
+            a.data(),
+            b.data(),
+            c.data_mut(),
+            dims,
+            prec,
+            true,
+        );
     } else {
         gemm_nn_legacy(a.data(), b.data(), c.data_mut(), m, k, n, prec);
     }
@@ -126,122 +148,166 @@ fn gemm_nn_legacy(
     }
 }
 
-/// Packed GEBP kernel: `B` is copied into contiguous `KC x NC` panels once,
-/// then `MC`-row chunks of `C` are filled in parallel. Additions per output
-/// element happen in ascending-`k` order with the `a == 0.0` skip — exactly
-/// the legacy order — so the result is bit-identical to the legacy path.
-fn gemm_nn_packed(
+/// How a pool task of [`gemm_packed`] reads its operands: element `(i, kk)`
+/// of `A` is `a[i * a_rs + kk * a_ks]`, and `b` is `B` packed into panels of
+/// `NR`-wide strips.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+    bf16: bool,
+    skip_zero_a: bool,
+}
+
+/// The packed body of every variant: `C (m x n) += A·B`, with `A` and `B`
+/// laid out as `op` says. NN and TN skip zero `a` values; NT relies on `C`
+/// starting at zero. With `simd` the AVX2 build runs when the CPU has it.
+fn gemm_packed(
+    op: GemmOp,
     ad: &[f32],
     bd: &[f32],
     cd: &mut [f32],
-    _m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
     prec: Precision,
+    simd: bool,
 ) {
+    // Element (kk, j) of B is bd[kk * b_ks + j * b_js].
+    let (a_rs, a_ks) = if op == GemmOp::Tn { (1, m) } else { (k, 1) };
+    let (b_ks, b_js) = if op == GemmOp::Nt { (1, k) } else { (n, 1) };
+    let bf16 = prec == Precision::BF16Mixed;
+    let strips = n.div_ceil(NR);
     let ws = Workspace::global();
-    let mut packed = ws.take(k * n);
-    // Panel (J, Kb) starts at `k*j0 + k0*ncw`: all columns left of this panel
-    // occupy `k*j0` slots and earlier k-panels of this column block occupy
-    // `k0*ncw` — a closed form both pack and compute derive independently.
-    for j0 in (0..n).step_by(NC) {
-        let ncw = NC.min(n - j0);
-        for k0 in (0..k).step_by(KC) {
-            let kcw = KC.min(k - k0);
-            let base = k * j0 + k0 * ncw;
-            for kk in 0..kcw {
-                let src = &bd[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + ncw];
-                let dst = &mut packed[base + kk * ncw..base + (kk + 1) * ncw];
-                match prec {
-                    Precision::F32 => dst.copy_from_slice(src),
-                    Precision::BF16Mixed => {
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d = round_bf16(s);
-                        }
-                    }
+    // Panel `k0` is `strips` consecutive `kc x NR` strips starting at
+    // `k0 * strips * NR`; the columns past `n` in the last strip stay zero.
+    let mut packed = ws.take(k * strips * NR);
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let panel = &mut packed[k0 * strips * NR..(k0 + kc) * strips * NR];
+        for (s, strip) in panel.chunks_exact_mut(kc * NR).enumerate() {
+            let j0 = s * NR;
+            for (kk, row) in strip.chunks_exact_mut(NR).enumerate() {
+                for (jj, d) in row.iter_mut().enumerate().take(n - j0) {
+                    *d = operand(bd[(k0 + kk) * b_ks + (j0 + jj) * b_js], bf16);
                 }
             }
         }
     }
-
-    let packed_ref = &packed;
-    par::for_each_chunk(cd, MC * n, |(chunk, cchunk)| {
-        let i0 = chunk * MC;
-        let rows = cchunk.len() / n;
-        for j0 in (0..n).step_by(NC) {
-            let ncw = NC.min(n - j0);
-            for k0 in (0..k).step_by(KC) {
-                let kcw = KC.min(k - k0);
-                let panel = &packed_ref[k * j0 + k0 * ncw..k * j0 + k0 * ncw + kcw * ncw];
-                for i in 0..rows {
-                    let arow = &ad[(i0 + i) * k + k0..(i0 + i) * k + k0 + kcw];
-                    let crow = &mut cchunk[i * n + j0..i * n + j0 + ncw];
-                    gebp_row(arow, panel, crow, kcw, ncw, prec);
-                }
-            }
+    let ops = Operands {
+        a: ad,
+        a_rs,
+        a_ks,
+        b: &packed,
+        k,
+        n,
+        bf16,
+        skip_zero_a: op != GemmOp::Nt,
+    };
+    let simd = simd && avx2();
+    par::for_each_chunk(cd, MC * n, |(chunk, c)| {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd` is true only when the CPU reports AVX2.
+            return unsafe { fill_chunk_avx2(ops, chunk * MC, c) };
         }
+        fill_chunk(ops, chunk * MC, c);
     });
     ws.put(packed);
 }
 
-/// One row of the packed micro-kernel: `crow += arow * panel`, 4x-unrolled
-/// over `k`, keeping each `C` element in a register across the 4 lanes.
-/// Additions stay in ascending-`k` order; zero `a` values are skipped.
-#[inline]
-fn gebp_row(
-    arow: &[f32],
-    panel: &[f32],
-    crow: &mut [f32],
-    kcw: usize,
-    ncw: usize,
-    prec: Precision,
-) {
-    let load = |v: f32| match prec {
-        Precision::F32 => v,
-        Precision::BF16Mixed => round_bf16(v),
-    };
-    let mut kk = 0;
-    while kk + 4 <= kcw {
-        let a0 = load(arow[kk]);
-        let a1 = load(arow[kk + 1]);
-        let a2 = load(arow[kk + 2]);
-        let a3 = load(arow[kk + 3]);
-        let b0 = &panel[kk * ncw..(kk + 1) * ncw];
-        let b1 = &panel[(kk + 1) * ncw..(kk + 2) * ncw];
-        let b2 = &panel[(kk + 2) * ncw..(kk + 3) * ncw];
-        let b3 = &panel[(kk + 3) * ncw..(kk + 4) * ncw];
-        if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-            for j in 0..ncw {
-                let mut cj = crow[j];
-                cj += a0 * b0[j];
-                cj += a1 * b1[j];
-                cj += a2 * b2[j];
-                cj += a3 * b3[j];
-                crow[j] = cj;
-            }
-        } else {
-            // Preserve the zero-skip semantics lane by lane.
-            for (al, bl) in [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] {
-                if al == 0.0 {
-                    continue;
+/// `v` as the packed kernel multiplies it: rounded through bf16 in mixed
+/// precision.
+#[inline(always)]
+fn operand(v: f32, bf16: bool) -> f32 {
+    if bf16 {
+        round_bf16(v)
+    } else {
+        v
+    }
+}
+
+/// [`fill_chunk`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_chunk_avx2(ops: Operands, i0: usize, c: &mut [f32]) {
+    fill_chunk(ops, i0, c);
+}
+
+/// Fill the rows of `C` starting at row `i0`, one `KC` panel at a time:
+/// gather an `MR x kc` block of `A`, then run the tile body over every strip.
+#[inline(always)]
+fn fill_chunk(ops: Operands, i0: usize, c: &mut [f32]) {
+    let Operands {
+        a,
+        a_rs,
+        a_ks,
+        b,
+        k,
+        n,
+        bf16,
+        ..
+    } = ops;
+    let strips = n.div_ceil(NR);
+    let rows = c.len() / n;
+    let mut ablock = [[0.0f32; MR]; KC];
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let panel = &b[k0 * strips * NR..(k0 + kc) * strips * NR];
+        for r0 in (0..rows).step_by(MR) {
+            let mr = MR.min(rows - r0);
+            // Rows past the chunk's end read as zero; their results are dropped.
+            for (kk, ak) in ablock[..kc].iter_mut().enumerate() {
+                for (r, av) in ak.iter_mut().enumerate() {
+                    *av = if r < mr {
+                        operand(a[(i0 + r0 + r) * a_rs + (k0 + kk) * a_ks], bf16)
+                    } else {
+                        0.0
+                    };
                 }
-                for (cv, &bv) in crow.iter_mut().zip(bl) {
-                    *cv += al * bv;
+            }
+            // A block without zeros needs no skip test in the hot loop.
+            let skip = ops.skip_zero_a && ablock[..kc].as_flattened().contains(&0.0);
+            for (s, strip) in panel.chunks_exact(kc * NR).enumerate() {
+                let j0 = s * NR;
+                let nr = NR.min(n - j0);
+                let mut tile = [[0.0f32; NR]; MR];
+                for (r, t) in tile[..mr].iter_mut().enumerate() {
+                    t[..nr].copy_from_slice(&c[(r0 + r) * n + j0..][..nr]);
+                }
+                let (ab, b) = (&ablock[..kc], strip.as_chunks::<NR>().0);
+                if skip {
+                    tile_body::<true>(ab, b, &mut tile);
+                } else {
+                    tile_body::<false>(ab, b, &mut tile);
+                }
+                for (r, t) in tile[..mr].iter().enumerate() {
+                    c[(r0 + r) * n + j0..][..nr].copy_from_slice(&t[..nr]);
                 }
             }
         }
-        kk += 4;
     }
-    while kk < kcw {
-        let av = load(arow[kk]);
-        if av != 0.0 {
-            let brow = &panel[kk * ncw..(kk + 1) * ncw];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
+}
+
+/// The register tile: `c[r][j] += a[kk][r] * b[kk][j]` for ascending `kk`,
+/// one rounded product and one rounded add at a time. With `SKIP`, a row
+/// whose `a` value is zero takes no addition at that `kk`.
+#[inline(always)]
+fn tile_body<const SKIP: bool>(a: &[[f32; MR]], b: &[[f32; NR]], c: &mut [[f32; NR]; MR]) {
+    let mut acc = *c;
+    for (ak, bk) in a.iter().zip(b) {
+        for (row, &av) in acc.iter_mut().zip(ak) {
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            for (cv, &bv) in row.iter_mut().zip(bk) {
                 *cv += av * bv;
             }
         }
-        kk += 1;
     }
+    *c = acc;
 }
 
 /// `C = A^T * B` where `A` is `k x m` and `B` is `k x n`. This is the
@@ -263,7 +329,16 @@ pub fn matmul_tn_acc(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     assert_eq!(k, k2, "matmul_tn inner dim mismatch: {k} vs {k2}");
     assert_eq!(c.shape(), (m, n), "matmul_tn accumulator shape");
     if use_packed(m, k, n) {
-        gemm_tn_packed(a.data(), b.data(), c.data_mut(), m, k, n);
+        let dims = (m, k, n);
+        gemm_packed(
+            GemmOp::Tn,
+            a.data(),
+            b.data(),
+            c.data_mut(),
+            dims,
+            Precision::F32,
+            true,
+        );
     } else {
         gemm_tn_legacy(a.data(), b.data(), c.data_mut(), m, k, n);
     }
@@ -292,53 +367,25 @@ fn gemm_tn_legacy(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n:
     }
 }
 
-/// Packed TN: `Aᵀ` goes into a pooled `m x k` buffer, then the NN GEBP
-/// kernel runs on it. Row `i` of the copy is column `i` of `A`, so each
-/// output element sees the same `a` values in the same ascending-`k` order,
-/// with the same zero skip, as [`gemm_tn_legacy`].
-fn gemm_tn_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
-    let ws = Workspace::global();
-    let mut at = ws.take(m * k);
-    transpose_into(ad, k, m, &mut at);
-    gemm_nn_packed(&at, bd, cd, m, k, n, Precision::F32);
-    ws.put(at);
-}
-
-/// Square tile edge of [`transpose_into`]: a 32x32 f32 tile is 4 KiB.
-const TRANSPOSE_TILE: usize = 32;
-
-/// `dst = srcᵀ` for a row-major `rows x cols` source, one 32x32 tile at a
-/// time. Each tile writes 32-element runs of `dst` rows and reads a short
-/// strip of `src` rows, so neither side walks memory at a large power-of-two
-/// stride. Bands of `dst` rows go to the pool.
-fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    par::for_each_chunk(dst, TRANSPOSE_TILE * rows, |(band, dband)| {
-        let c0 = band * TRANSPOSE_TILE;
-        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-            for (c, drow) in dband.chunks_mut(rows).enumerate() {
-                for (o, r) in drow[r0..r1].iter_mut().zip(r0..r1) {
-                    *o = src[r * cols + c0 + c];
-                }
-            }
-        }
-    });
-}
-
 /// `C = A * B^T` where `A` is `m x k` and `B` is `n x k`. This is the
 /// gradient kernel `dX = dY W^T` and the attention-score kernel `Q K^T`.
-///
-/// The packed path interleaves 4 rows of `B` lane-by-lane so the inner loop
-/// computes 4 independent dot products at once (vectorizable across lanes);
-/// each dot product still accumulates in ascending-`k` order with a single
-/// accumulator, bit-identical to the legacy scalar dot.
+/// Each element is one dot product in ascending `k` from a `0.0` start.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();
     let (n, k2) = b.shape();
     assert_eq!(k, k2, "matmul_nt inner dim mismatch: {k} vs {k2}");
     let mut c = Tensor::zeros(m, n);
     if use_packed(m, k, n) {
-        gemm_nt_packed(a.data(), b.data(), c.data_mut(), m, k, n);
+        let dims = (m, k, n);
+        gemm_packed(
+            GemmOp::Nt,
+            a.data(),
+            b.data(),
+            c.data_mut(),
+            dims,
+            Precision::F32,
+            true,
+        );
     } else {
         gemm_nt_legacy(a.data(), b.data(), c.data_mut(), m, k, n);
     }
@@ -364,78 +411,6 @@ fn gemm_nt_legacy(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n:
     }
 }
 
-/// Lane width of the packed NT kernel: 4 rows of `B` share the inner loop.
-const NT_LANES: usize = 4;
-
-fn gemm_nt_packed(ad: &[f32], bd: &[f32], cd: &mut [f32], m: usize, k: usize, n: usize) {
-    let ws = Workspace::global();
-    let mut packed = ws.take(k * n);
-    // Group `B` rows in fours; group `g` (rows j0..j0+lanes) lives at
-    // `j0 * k`, stored lane-interleaved: packed[j0*k + kk*lanes + l].
-    for j0 in (0..n).step_by(NT_LANES) {
-        let lanes = NT_LANES.min(n - j0);
-        let dst = &mut packed[j0 * k..j0 * k + lanes * k];
-        for l in 0..lanes {
-            let src = &bd[(j0 + l) * k..(j0 + l + 1) * k];
-            for (kk, &v) in src.iter().enumerate() {
-                dst[kk * lanes + l] = v;
-            }
-        }
-    }
-
-    let packed_ref = &packed;
-    let body = |(i, crow): (usize, &mut [f32])| {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j0 in (0..n).step_by(NT_LANES) {
-            let lanes = NT_LANES.min(n - j0);
-            let panel = &packed_ref[j0 * k..j0 * k + lanes * k];
-            if lanes == NT_LANES {
-                let mut acc = [0.0f32; NT_LANES];
-                let mut kk = 0;
-                while kk + 4 <= k {
-                    let a0 = arow[kk];
-                    let a1 = arow[kk + 1];
-                    let a2 = arow[kk + 2];
-                    let a3 = arow[kk + 3];
-                    let p = &panel[kk * NT_LANES..(kk + 4) * NT_LANES];
-                    for (l, s) in acc.iter_mut().enumerate() {
-                        let mut sl = *s;
-                        sl += a0 * p[l];
-                        sl += a1 * p[NT_LANES + l];
-                        sl += a2 * p[2 * NT_LANES + l];
-                        sl += a3 * p[3 * NT_LANES + l];
-                        *s = sl;
-                    }
-                    kk += 4;
-                }
-                while kk < k {
-                    let av = arow[kk];
-                    let p = &panel[kk * NT_LANES..(kk + 1) * NT_LANES];
-                    for (l, s) in acc.iter_mut().enumerate() {
-                        *s += av * p[l];
-                    }
-                    kk += 1;
-                }
-                crow[j0..j0 + NT_LANES].copy_from_slice(&acc);
-            } else {
-                for l in 0..lanes {
-                    let mut acc = 0.0f32;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        acc += av * panel[kk * lanes + l];
-                    }
-                    crow[j0 + l] = acc;
-                }
-            }
-        }
-    };
-    if use_parallel(m, k, n) {
-        par::for_each_chunk(cd, n, body);
-    } else {
-        cd.chunks_mut(n).enumerate().for_each(body);
-    }
-    ws.put(packed);
-}
-
 /// A GEMM transpose variant, for [`gemm_on_path`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmOp {
@@ -449,7 +424,7 @@ pub enum GemmOp {
 
 /// Which body a GEMM runs. The entry points pick one by shape; forcing it
 /// lets `kernel_bench` time the two against each other and check that
-/// their bits agree.
+/// their bits agree. `Packed` is the register-tiled kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmPath {
     Legacy,
@@ -459,7 +434,6 @@ pub enum GemmPath {
 /// Run one f32 GEMM variant on a forced path. Every shape gives the same
 /// bits on either path, and the same bits as the variant's entry point.
 pub fn gemm_on_path(op: GemmOp, a: &Tensor, b: &Tensor, path: GemmPath) -> Tensor {
-    let packed = path == GemmPath::Packed;
     let (m, k, k2, n) = match op {
         GemmOp::Nn => (a.rows(), a.cols(), b.rows(), b.cols()),
         GemmOp::Nt => (a.rows(), a.cols(), b.cols(), b.rows()),
@@ -468,13 +442,11 @@ pub fn gemm_on_path(op: GemmOp, a: &Tensor, b: &Tensor, path: GemmPath) -> Tenso
     assert_eq!(k, k2, "{op:?} inner dim mismatch: {k} vs {k2}");
     let mut c = Tensor::zeros(m, n);
     let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
-    match (op, packed) {
-        (GemmOp::Nn, true) => gemm_nn_packed(ad, bd, cd, m, k, n, Precision::F32),
-        (GemmOp::Nn, false) => gemm_nn_legacy(ad, bd, cd, m, k, n, Precision::F32),
-        (GemmOp::Nt, true) => gemm_nt_packed(ad, bd, cd, m, k, n),
-        (GemmOp::Nt, false) => gemm_nt_legacy(ad, bd, cd, m, k, n),
-        (GemmOp::Tn, true) => gemm_tn_packed(ad, bd, cd, m, k, n),
-        (GemmOp::Tn, false) => gemm_tn_legacy(ad, bd, cd, m, k, n),
+    match (op, path) {
+        (_, GemmPath::Packed) => gemm_packed(op, ad, bd, cd, (m, k, n), Precision::F32, true),
+        (GemmOp::Nn, GemmPath::Legacy) => gemm_nn_legacy(ad, bd, cd, m, k, n, Precision::F32),
+        (GemmOp::Nt, GemmPath::Legacy) => gemm_nt_legacy(ad, bd, cd, m, k, n),
+        (GemmOp::Tn, GemmPath::Legacy) => gemm_tn_legacy(ad, bd, cd, m, k, n),
     }
     c
 }
@@ -536,15 +508,57 @@ mod tests {
         a
     }
 
+    /// The bits of every element, with every NaN as one pattern: Rust
+    /// leaves the sign and payload of a NaN result unspecified, so two
+    /// builds of the same loop may differ there and nowhere else.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        let canon = |v: f32| if v.is_nan() { f32::NAN } else { v };
+        t.data().iter().map(|&v| canon(v).to_bits()).collect()
+    }
+
+    /// `c0 op= A·B` on the packed body, on the AVX2 build of the tile when
+    /// `simd` and the CPU allow it, else on the baseline build.
+    fn run_packed(
+        op: GemmOp,
+        a: &Tensor,
+        b: &Tensor,
+        c0: &Tensor,
+        prec: Precision,
+        simd: bool,
+    ) -> Tensor {
+        let k = if op == GemmOp::Tn { a.rows() } else { a.cols() };
+        let (m, n) = c0.shape();
+        let mut c = c0.clone();
+        gemm_packed(op, a.data(), b.data(), c.data_mut(), (m, k, n), prec, simd);
+        c
+    }
+
+    /// Where the CPU has AVX2, the baseline build of the tile body gives the
+    /// same bits as the AVX2 build.
+    fn assert_builds_agree(op: GemmOp, a: &Tensor, b: &Tensor, c0: &Tensor, prec: Precision) {
+        if avx2() {
+            let plain = run_packed(op, a, b, c0, prec, false);
+            let simd = run_packed(op, a, b, c0, prec, true);
+            assert_eq!(
+                bits(&plain),
+                bits(&simd),
+                "{op:?} {:?} {prec:?}",
+                c0.shape()
+            );
+        }
+    }
+
     #[test]
     fn packed_path_is_bit_identical_to_legacy() {
         // The engine bit-identity suites rely on path selection never
         // changing numerics: packed and legacy must agree to the bit,
-        // including the a == 0.0 skip semantics. k = 130 and 301 are
-        // multiples of neither 4 nor KC; n = 257 and 300 are not multiples
-        // of NC; m = 9 is just above PACK_MIN_ROWS; the last two shapes sit
-        // either side of PACK_MIN_WORK, so the entry points take the legacy
-        // path on one and the packed path on the other.
+        // including the a == 0.0 skip semantics. k = 130, 301 and 259 are
+        // multiples of neither 4 nor KC; n = 257, 300, 40 and 37 are not
+        // multiples of NR; m = 9 is just above PACK_MIN_ROWS, and m = 9, 13
+        // and 67 are not multiples of MR (67 also leaves a 3-row last MC
+        // chunk); (16, 64, 127) and (16, 64, 128) sit either side of
+        // PACK_MIN_WORK, so the entry points take the legacy path on one and
+        // the packed path on the other.
         let mut rng = Rng::seed(19);
         let shapes = [
             (16usize, 130usize, 257usize),
@@ -553,17 +567,20 @@ mod tests {
             (128, 512, 128),
             (16, 64, 127),
             (16, 64, 128),
+            (13, 259, 37),
+            (67, 200, 50),
         ];
         assert!(!use_packed(16, 64, 127) && use_packed(16, 64, 128));
         for &(m, k, n) in &shapes {
             let a = sparse_normal(&mut rng, m, k);
             let b = rng.normal_tensor(k, n, 1.0);
+            let zeros = Tensor::zeros(m, n);
             for prec in [Precision::F32, Precision::BF16Mixed] {
-                let mut c_packed = Tensor::zeros(m, n);
+                let c_packed = run_packed(GemmOp::Nn, &a, &b, &zeros, prec, true);
                 let mut c_legacy = Tensor::zeros(m, n);
-                gemm_nn_packed(a.data(), b.data(), c_packed.data_mut(), m, k, n, prec);
                 gemm_nn_legacy(a.data(), b.data(), c_legacy.data_mut(), m, k, n, prec);
                 assert_eq!(c_packed, c_legacy, "{m}x{k}x{n} {prec:?}");
+                assert_builds_agree(GemmOp::Nn, &a, &b, &zeros, prec);
             }
             let bt = rng.normal_tensor(n, k, 1.0);
             assert_eq!(
@@ -571,6 +588,7 @@ mod tests {
                 gemm_on_path(GemmOp::Nt, &a, &bt, GemmPath::Legacy),
                 "nt {m}x{k}x{n}"
             );
+            assert_builds_agree(GemmOp::Nt, &a, &bt, &zeros, Precision::F32);
 
             let at = sparse_normal(&mut rng, k, m);
             let legacy = gemm_on_path(GemmOp::Tn, &at, &b, GemmPath::Legacy);
@@ -585,14 +603,92 @@ mod tests {
             let c0 = rng.normal_tensor(m, n, 1.0);
             let mut whole = c0.clone();
             matmul_tn_acc(&at, &b, &mut whole);
-            let mut by_row = c0;
+            let mut by_row = c0.clone();
             for kk in 0..k {
                 let ar = at.slice_rows(kk, kk + 1);
                 let br = b.slice_rows(kk, kk + 1);
                 gemm_tn_legacy(ar.data(), br.data(), by_row.data_mut(), m, 1, n);
             }
             assert_eq!(whole, by_row, "tn accumulate {m}x{k}x{n}");
+            assert_builds_agree(GemmOp::Tn, &at, &b, &c0, Precision::F32);
         }
+
+        // Zeros in A lined up against ±inf and NaN in B: the skip keeps NN
+        // and TN finite, while NT never skips and carries the NaN through.
+        // In bf16 a subnormal 1e-45 rounds to zero, so it is skipped too.
+        let (m, k, n) = (18, 300, 40);
+        let mut a = rng.normal_tensor(m, k, 1.0);
+        let mut b = rng.normal_tensor(k, n, 1.0);
+        let mut bt = rng.normal_tensor(n, k, 1.0);
+        for (kk, bad) in [
+            (3, f32::INFINITY),
+            (140, f32::NEG_INFINITY),
+            (299, f32::NAN),
+        ] {
+            for i in 0..m {
+                a.set(i, kk, 0.0);
+            }
+            for j in 0..n {
+                b.set(kk, j, bad);
+                bt.set(j, kk, bad);
+            }
+        }
+        let at = a.transpose();
+        let zeros = Tensor::zeros(m, n);
+        for (op, a, b) in [
+            (GemmOp::Nn, &a, &b),
+            (GemmOp::Tn, &at, &b),
+            (GemmOp::Nt, &a, &bt),
+        ] {
+            let legacy = gemm_on_path(op, a, b, GemmPath::Legacy);
+            let packed = gemm_on_path(op, a, b, GemmPath::Packed);
+            assert_eq!(bits(&packed), bits(&legacy), "{op:?} with inf/NaN in B");
+            assert_eq!(
+                packed.all_finite(),
+                op != GemmOp::Nt,
+                "{op:?} with inf/NaN in B"
+            );
+            assert_builds_agree(op, a, b, &zeros, Precision::F32);
+        }
+        for i in 0..m {
+            a.set(i, 7, 1e-45);
+            b.set(7, i, f32::INFINITY);
+        }
+        let mut legacy = Tensor::zeros(m, n);
+        gemm_nn_legacy(
+            a.data(),
+            b.data(),
+            legacy.data_mut(),
+            m,
+            k,
+            n,
+            Precision::BF16Mixed,
+        );
+        let packed = run_packed(GemmOp::Nn, &a, &b, &zeros, Precision::BF16Mixed, true);
+        assert_eq!(bits(&packed), bits(&legacy), "bf16 subnormal against inf");
+        assert!(
+            packed.all_finite(),
+            "bf16 rounds 1e-45 to zero and skips it"
+        );
+        assert_builds_agree(GemmOp::Nn, &a, &b, &zeros, Precision::BF16Mixed);
+
+        // A -0.0 accumulator keeps its sign in the row whose column of A is
+        // all zeros, where every product is skipped.
+        let mut at = sparse_normal(&mut rng, k, m);
+        for kk in 0..k {
+            at.set(kk, 1, 0.0);
+        }
+        let b = rng.normal_tensor(k, n, 1.0);
+        let neg_zero = Tensor::from_vec(m, n, vec![-0.0; m * n]);
+        let mut whole = neg_zero.clone();
+        matmul_tn_acc(&at, &b, &mut whole);
+        let mut legacy = neg_zero.clone();
+        gemm_tn_legacy(at.data(), b.data(), legacy.data_mut(), m, k, n);
+        assert_eq!(bits(&whole), bits(&legacy), "tn accumulate from -0.0");
+        assert!(whole.data()[n..2 * n]
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert_builds_agree(GemmOp::Tn, &at, &b, &neg_zero, Precision::F32);
     }
 
     #[test]
